@@ -9,12 +9,25 @@ input-vertex balance (Figure 14), remote vertices (Figures 24b, 26c) and
 the phase-time decomposition built on top of them.
 
 The sampler here executes the per-layer expansion as a Catalyst plan —
-join the frontier against the adjacency, keep ``fanout`` random neighbors
-per (worker, step, source) via a windowed ``row_number`` — and collects the
+join the frontier against the adjacency, keep ``fanout`` neighbors per
+(worker, step, source) via a windowed ``row_number`` — and collects the
 (small) sampled-edge table to the driver, where the per-step statistics
-are computed with numpy. Paper fanouts (Section 5.1): 2-layer (25, 20),
-3-layer (15, 10, 5), 4-layer (10, 10, 5, 5); global batch size 1024 split
-evenly across workers.
+are computed with numpy.
+
+* **Hash-ordered.** The neighbors kept are the ``fanout`` smallest by
+  ``xxhash64(seed, layer, worker, step, src, dst)``, ties broken by
+  ``dst``. The sample is a pure function of its inputs: it does not depend
+  on shuffle partitioning, on the master, or on how often Spark evaluates
+  a plan.
+* **Each hop once.** Each hop's sampled edges and the frontier they grow
+  are materialized with ``localCheckpoint()``; later hops and the final
+  collect read those blocks instead of re-deriving the hop. The collected
+  rows are therefore one consistent computation graph per (worker, step):
+  every layer-l source is a seed or a destination sampled at an earlier
+  layer. :func:`sample_epoch` releases the blocks before it returns.
+
+Paper fanouts (Section 5.1): 2-layer (25, 20), 3-layer (15, 10, 5), 4-layer
+(10, 10, 5, 5); global batch size 1024 split evenly across workers.
 """
 from __future__ import annotations
 
@@ -55,6 +68,8 @@ class EpochSamplingStats:
     per_step: pd.DataFrame
     # raw sampled edges: worker, step, src, dst, layer
     sampled: pd.DataFrame
+    # sampled edges per (per_step row, layer), shape (len(per_step), n_layers)
+    hop_edges: np.ndarray
 
     @property
     def n_steps(self) -> int:
@@ -121,32 +136,58 @@ def sample_epoch(
 
     ``sym_edges`` holds both directions of every edge (src, dst) so the
     sampler expands over undirected neighborhoods like DGL does on the
-    symmetrized graphs of the study.
+    symmetrized graphs of the study. Layer ``l`` samples from every vertex
+    reached so far (the seeds and the destinations of layers < l), as DGL's
+    blocks keep their destination vertices among their sources.
     """
     k = int(owner_of.max()) + 1 if len(owner_of) else 1
-    seeds_sdf = spark.createDataFrame(seeds, schema=SEED_SCHEMA)
-    frontier = seeds_sdf
-    layers = []
-    for lidx, fan in enumerate(fanouts):
-        cand = frontier.withColumnRenamed("vertex", "src").join(sym_edges, "src")
-        w = Window.partitionBy("worker", "step", "src").orderBy(
-            F.rand(seed * 131 + lidx)
-        )
-        samp = (
-            cand.withColumn("rn", F.row_number().over(w))
-            .where(F.col("rn") <= fan)
-            .select("worker", "step", "src", "dst", F.lit(lidx).alias("layer"))
-        )
-        layers.append(samp)
-        frontier = (
-            frontier.select("worker", "step", "vertex")
-            .unionAll(samp.select("worker", "step", F.col("dst").alias("vertex")))
-            .distinct()
-        )
-    all_sampled = reduce(DataFrame.unionAll, layers).toPandas()
+    checkpoints: list[DataFrame] = []
+
+    def checkpoint(df: DataFrame) -> DataFrame:
+        """Compute ``df`` now; later plans read its blocks instead of its plan."""
+        checkpoints.append(df.localCheckpoint())
+        return checkpoints[-1]
+
+    try:
+        # Hash-partitioned by src once, so no hop's join reshuffles it.
+        adjacency = checkpoint(sym_edges.repartition("src"))
+        frontier = spark.createDataFrame(seeds, schema=SEED_SCHEMA)
+        layers = []
+        for lidx, fan in enumerate(fanouts):
+            cand = frontier.withColumnRenamed("vertex", "src").join(adjacency, "src")
+            w = Window.partitionBy("worker", "step", "src").orderBy(
+                F.xxhash64(F.lit(seed), F.lit(lidx), "worker", "step", "src", "dst"),
+                "dst",
+            )
+            samp = checkpoint(
+                cand.withColumn("rn", F.row_number().over(w))
+                .where(F.col("rn") <= fan)
+                .select("worker", "step", "src", "dst", F.lit(lidx).alias("layer"))
+            )
+            layers.append(samp)
+            if lidx + 1 < len(fanouts):
+                frontier = checkpoint(
+                    frontier.unionAll(
+                        samp.select("worker", "step", F.col("dst").alias("vertex"))
+                    ).distinct()
+                )
+        all_sampled = reduce(DataFrame.unionAll, layers).toPandas()
+    finally:
+        for df in checkpoints:
+            _release_checkpoint(df)
     return _stats_from_sampled(
         seeds, all_sampled, owner_of, len(fanouts), k, global_batch or 0
     )
+
+
+def _release_checkpoint(df: DataFrame) -> None:
+    """Free the blocks behind a ``localCheckpoint()`` result.
+
+    ``DataFrame.unpersist`` does not reach them: a local checkpoint persists
+    the RDD under the DataFrame's ``LogicalRDD`` plan, not a cached query.
+    Blocking, so no block removal is still running after the sampler returns.
+    """
+    df._jdf.queryExecution().logical().rdd().unpersist(True)
 
 
 def _stats_from_sampled(
@@ -178,25 +219,30 @@ def _stats_from_sampled(
     first["remote"] = (
         owner_of[first["vertex"].to_numpy()] != first["worker"].to_numpy()
     )
-    first["accesses"] = np.maximum(0, n_layers - first["first"].to_numpy())
-    grouped = first.groupby(["worker", "step"])
-    per_step = grouped.agg(
-        input_vertices=("vertex", "size"),
-        remote_inputs=("remote", "sum"),
-        remote_accesses=(
-            "accesses",
-            lambda s: int(
-                (s * first.loc[s.index, "remote"]).sum()
-            ),
-        ),
-    ).reset_index()
-    edge_counts = (
-        sampled.groupby(["worker", "step"]).size().rename("sampled_edges").reset_index()
+    first["remote_accesses"] = (
+        np.maximum(0, n_layers - first["first"].to_numpy()) * first["remote"].to_numpy()
     )
-    per_step = per_step.merge(edge_counts, on=["worker", "step"], how="left").fillna(
-        {"sampled_edges": 0}
+    per_step = (
+        first.groupby(["worker", "step"])
+        .agg(
+            input_vertices=("vertex", "size"),
+            remote_inputs=("remote", "sum"),
+            remote_accesses=("remote_accesses", "sum"),
+        )
+        .reset_index()
     )
-    per_step["sampled_edges"] = per_step["sampled_edges"].astype(np.int64)
+    # Sampled edges per (per_step row, hop): per_step rows are sorted by
+    # (worker, step), and every sampled row's (worker, step) has seeds.
+    n_steps = int(per_step["step"].max()) + 1 if len(per_step) else 0
+    row_key = per_step["worker"].to_numpy() * n_steps + per_step["step"].to_numpy()
+    row = np.searchsorted(
+        row_key, sampled["worker"].to_numpy() * n_steps + sampled["step"].to_numpy()
+    )
+    hop_edges = np.bincount(
+        row * n_layers + sampled["layer"].to_numpy(),
+        minlength=len(per_step) * n_layers,
+    ).reshape(len(per_step), n_layers)
+    per_step["sampled_edges"] = hop_edges.sum(axis=1).astype(np.int64)
     per_step["remote_inputs"] = per_step["remote_inputs"].astype(np.int64)
     return EpochSamplingStats(
         k=k,
@@ -204,9 +250,10 @@ def _stats_from_sampled(
         global_batch=global_batch,
         per_step=per_step,
         sampled=sampled,
+        hop_edges=hop_edges,
     )
 
 
 def sampled_edges_per_layer(sampled: pd.DataFrame) -> pd.DataFrame:
-    """(worker, step, layer) -> edge count; used by the phase-time model."""
+    """(worker, step, layer) -> edge count."""
     return sampled.groupby(["worker", "step", "layer"]).size().rename("n").reset_index()

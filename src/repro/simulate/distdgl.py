@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 
 from repro.gnn.layers import layer_flops
-from repro.gnn.sampling import EpochSamplingStats, sampled_edges_per_layer
+from repro.gnn.sampling import EpochSamplingStats
 from repro.simulate.costmodel import BYTES_PER_SCALAR, ClusterModel
 from repro.simulate.distgnn import GNNConfig
 
@@ -68,23 +67,18 @@ def phase_times(
 
     # --- forward flops per (worker, step): hop h edges feed compute layer
     # (L - h), whose input dim is `feature` for the outermost hop chain.
-    per_layer = sampled_edges_per_layer(stats.sampled)
-    flop_rows = []
-    for (w, s), grp in per_layer.groupby(["worker", "step"]):
-        edges_by_hop = dict(zip(grp["layer"], grp["n"]))
-        inputs = ps.loc[(ps["worker"] == w) & (ps["step"] == s), "input_vertices"]
-        n_in = int(inputs.iloc[0]) if len(inputs) else 0
-        fl = 0.0
-        for compute_layer in range(L):  # 0 = input-side layer
-            hop = L - 1 - compute_layer
-            e = int(edges_by_hop.get(hop, 0))
-            d_in = dims[compute_layer]
-            d_out = dims[compute_layer + 1]
-            n = min(n_in, e + stats.global_batch or e + 1)
-            fl += layer_flops(cfg.kind, n, e, d_in, d_out)
-        flop_rows.append({"worker": w, "step": s, "flops": fl})
-    fl_df = pd.DataFrame(flop_rows)
-    ps = ps.merge(fl_df, on=["worker", "step"], how="left").fillna({"flops": 0.0})
+    # A (worker, step) that sampled no edge computes nothing.
+    n_in = ps["input_vertices"].to_numpy()
+    flops = np.zeros(len(ps))
+    for compute_layer in range(L):  # 0 = input-side layer
+        hop = L - 1 - compute_layer
+        e = stats.hop_edges[:, hop]
+        d_in = dims[compute_layer]
+        d_out = dims[compute_layer + 1]
+        batch = e + stats.global_batch
+        n = np.minimum(n_in, np.where(batch != 0, batch, e + 1))
+        flops += layer_flops(cfg.kind, n, e, d_in, d_out)
+    ps["flops"] = np.where(ps["sampled_edges"].to_numpy() > 0, flops, 0.0)
     ps["t_fwd"] = ps["flops"] / cluster.flops_per_sec
 
     # --- straggler per step for phases 1-3 (paper's straggler analysis).

@@ -1,13 +1,17 @@
 """Tests for the DistDGL-style mini-batch sampler (Spark + numpy stats)."""
+import dataclasses
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.graphs.datasets import generate, n_vertices_of, split_vertices
 from repro.graphs.generators import symmetrized, to_spark, undirected_view
+from repro.gnn.layers import layer_flops
 from repro.gnn.sampling import (
     FANOUTS,
     EpochSamplingStats,
+    _stats_from_sampled,
     plan_batches,
     sample_epoch,
     sampled_edges_per_layer,
@@ -15,6 +19,9 @@ from repro.gnn.sampling import (
 from repro.partitioning.base import run_partitioner
 from repro.partitioning.vertex.metis_like import MetisLikePartitioner
 from repro.partitioning.vertex.random_vp import RandomVertexPartitioner
+from repro.simulate.costmodel import BYTES_PER_SCALAR, ClusterModel
+from repro.simulate.distdgl import StepPhases, phase_times
+from repro.simulate.distgnn import GNNConfig
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +165,205 @@ class TestSamplingSemantics:
         per_seed_s = st_s.epoch_total("remote_inputs") / len(small)
         per_seed_l = st_l.epoch_total("remote_inputs") / len(large)
         assert per_seed_l < per_seed_s
+
+
+def _orphan_rows(seeds: pd.DataFrame, sampled: pd.DataFrame) -> int:
+    """Rows whose source is neither a seed nor a destination of an earlier layer."""
+    keys = ["worker", "step"]
+    reached = pd.concat(
+        [
+            seeds[keys + ["vertex"]].assign(depth=0),
+            sampled.rename(columns={"dst": "vertex"})
+            .assign(depth=lambda d: d["layer"] + 1)[keys + ["vertex", "depth"]],
+        ],
+        ignore_index=True,
+    ).groupby(keys + ["vertex"], as_index=False)["depth"].min()
+    src = sampled[keys + ["src", "layer"]].merge(
+        reached.rename(columns={"vertex": "src"}), on=keys + ["src"], how="left"
+    )
+    return int((src["depth"].isna() | (src["depth"] > src["layer"])).sum())
+
+
+def _sorted_rows(sampled: pd.DataFrame) -> pd.DataFrame:
+    cols = ["worker", "step", "layer", "src", "dst"]
+    return sampled[cols].sort_values(cols).reset_index(drop=True)
+
+
+def _persistent_rdds(spark) -> int:
+    return spark.sparkContext._jsc.getPersistentRDDs().size()
+
+
+class TestConsistentComputationGraph:
+    """One computation graph per (worker, step), whatever the physical plan."""
+
+    @pytest.fixture(scope="class")
+    def seeds(self, setup):
+        _, _, train, owner, _ = setup
+        return plan_batches(train, owner, 4, 64, seed=0)
+
+    def test_per_step_independent_of_shuffle_partitions(self, spark, setup, seeds):
+        _, _, _, owner, sym = setup
+        key = "spark.sql.shuffle.partitions"
+        old = spark.conf.get(key)
+        per_step = {}
+        try:
+            for n in ("16", "64"):
+                spark.conf.set(key, n)
+                per_step[n] = sample_epoch(
+                    spark, sym, seeds, owner, FANOUTS[3], seed=0, global_batch=64
+                ).per_step
+        finally:
+            spark.conf.set(key, old)
+        pd.testing.assert_frame_equal(per_step["16"], per_step["64"])
+
+    @pytest.mark.parametrize("n_layers", [3, 4])
+    def test_no_orphan_sources(self, spark, setup, seeds, n_layers):
+        _, _, _, owner, sym = setup
+        st = sample_epoch(spark, sym, seeds, owner, FANOUTS[n_layers], seed=0)
+        assert set(st.sampled["layer"]) == set(range(n_layers))
+        assert _orphan_rows(seeds, st.sampled) == 0
+
+    def test_same_epoch_collects_same_rows(self, spark, setup, seeds):
+        _, _, _, owner, sym = setup
+        a = sample_epoch(spark, sym, seeds, owner, FANOUTS[3], seed=2)
+        b = sample_epoch(spark, sym, seeds, owner, FANOUTS[3], seed=2)
+        pd.testing.assert_frame_equal(_sorted_rows(a.sampled), _sorted_rows(b.sampled))
+
+    def test_seed_changes_sample(self, spark, setup, seeds):
+        _, _, _, owner, sym = setup
+        a = sample_epoch(spark, sym, seeds, owner, FANOUTS[2], seed=0)
+        b = sample_epoch(spark, sym, seeds, owner, FANOUTS[2], seed=1)
+        assert not _sorted_rows(a.sampled).equals(_sorted_rows(b.sampled))
+
+    def test_releases_persisted_blocks(self, spark, setup, seeds):
+        _, _, _, owner, sym = setup
+        before = _persistent_rdds(spark)
+        sample_epoch(spark, sym, seeds, owner, FANOUTS[3], seed=0)
+        assert _persistent_rdds(spark) == before
+
+    def test_releases_persisted_blocks_on_error(self, spark, setup, seeds, monkeypatch):
+        _, _, _, owner, sym = setup
+        before = _persistent_rdds(spark)
+
+        def fail(self):
+            raise RuntimeError("collect failed")
+
+        monkeypatch.setattr(type(sym), "toPandas", fail)
+        with pytest.raises(RuntimeError, match="collect failed"):
+            sample_epoch(spark, sym, seeds, owner, FANOUTS[3], seed=0)
+        assert _persistent_rdds(spark) == before
+
+
+def _per_step_reference(seeds, sampled, owner_of, n_layers):
+    """The per-group reduction the vectorised ``_stats_from_sampled`` replaces."""
+    first = pd.concat(
+        [
+            seeds.assign(first=0)[["worker", "step", "vertex", "first"]],
+            sampled.rename(columns={"dst": "vertex"}).assign(
+                first=lambda d: d["layer"] + 1
+            )[["worker", "step", "vertex", "first"]],
+        ],
+        ignore_index=True,
+    )
+    first = first.groupby(["worker", "step", "vertex"], as_index=False)["first"].min()
+    first["remote"] = owner_of[first["vertex"].to_numpy()] != first["worker"].to_numpy()
+    first["accesses"] = np.maximum(0, n_layers - first["first"].to_numpy())
+    per_step = (
+        first.groupby(["worker", "step"])
+        .agg(
+            input_vertices=("vertex", "size"),
+            remote_inputs=("remote", "sum"),
+            remote_accesses=(
+                "accesses",
+                lambda s: int((s * first.loc[s.index, "remote"]).sum()),
+            ),
+        )
+        .reset_index()
+    )
+    edge_counts = (
+        sampled.groupby(["worker", "step"]).size().rename("sampled_edges").reset_index()
+    )
+    per_step = per_step.merge(edge_counts, on=["worker", "step"], how="left").fillna(
+        {"sampled_edges": 0}
+    )
+    per_step["sampled_edges"] = per_step["sampled_edges"].astype(np.int64)
+    per_step["remote_inputs"] = per_step["remote_inputs"].astype(np.int64)
+    return per_step
+
+
+def _phase_times_reference(stats, cfg, cluster, fanouts):
+    """Per-(worker, step) loop form of ``distdgl.phase_times``."""
+    ps = stats.per_step.copy()
+    dims = cfg.dims()
+    L = len(fanouts)
+    ps["t_samp"] = (
+        ps["sampled_edges"] * cluster.samp_edge_cost
+        + ps["remote_accesses"] * cluster.remote_access_cost
+    )
+    local_inputs = ps["input_vertices"] - ps["remote_inputs"]
+    ps["t_fetch"] = (
+        ps["remote_inputs"] * cfg.feature * BYTES_PER_SCALAR / cluster.net_bandwidth
+        + local_inputs * cluster.local_read_cost
+    )
+    per_layer = sampled_edges_per_layer(stats.sampled)
+    flop_rows = []
+    for (w, s), grp in per_layer.groupby(["worker", "step"]):
+        edges_by_hop = dict(zip(grp["layer"], grp["n"]))
+        inputs = ps.loc[(ps["worker"] == w) & (ps["step"] == s), "input_vertices"]
+        n_in = int(inputs.iloc[0]) if len(inputs) else 0
+        fl = 0.0
+        for compute_layer in range(L):
+            hop = L - 1 - compute_layer
+            e = int(edges_by_hop.get(hop, 0))
+            n = min(n_in, e + stats.global_batch or e + 1)
+            fl += layer_flops(cfg.kind, n, e, dims[compute_layer], dims[compute_layer + 1])
+        flop_rows.append({"worker": w, "step": s, "flops": fl})
+    ps = ps.merge(pd.DataFrame(flop_rows), on=["worker", "step"], how="left").fillna(
+        {"flops": 0.0}
+    )
+    ps["t_fwd"] = ps["flops"] / cluster.flops_per_sec
+    g = ps.groupby("step")
+    forward = float(g["t_fwd"].max().sum())
+    model_scalars = sum(2 * a * b for a, b in zip(dims[:-1], dims[1:]))
+    allreduce = model_scalars * BYTES_PER_SCALAR / cluster.net_bandwidth
+    return StepPhases(
+        sampling=float(g["t_samp"].max().sum()),
+        feature_fetch=float(g["t_fetch"].max().sum()),
+        forward=forward,
+        backward=2.0 * forward + allreduce * stats.n_steps,
+        update=cluster.update_cost * stats.n_steps,
+    )
+
+
+class TestVectorisedReductions:
+    @pytest.fixture(scope="class")
+    def epoch(self, spark, setup):
+        _, _, train, owner, sym = setup
+        seeds = plan_batches(train, owner, 4, 64, seed=0)
+        st = sample_epoch(spark, sym, seeds, owner, FANOUTS[3], seed=0, global_batch=64)
+        return seeds, owner, st
+
+    @pytest.fixture(scope="class", params=["all", "one_step_without_edges"])
+    def stats(self, request, epoch) -> EpochSamplingStats:
+        seeds, owner, st = epoch
+        sampled = st.sampled
+        if request.param == "one_step_without_edges":
+            sampled = sampled[(sampled["worker"] != 1) | (sampled["step"] != 0)]
+        return _stats_from_sampled(seeds, sampled, owner, 3, 4, 64)
+
+    def test_per_step_matches_reference(self, epoch, stats):
+        seeds, owner, _ = epoch
+        pd.testing.assert_frame_equal(
+            stats.per_step, _per_step_reference(seeds, stats.sampled, owner, 3)
+        )
+
+    @pytest.mark.parametrize("kind", ["sage", "gcn", "gat"])
+    @pytest.mark.parametrize("global_batch", [64, 0])
+    def test_phase_times_match_loop_reference(self, stats, kind, global_batch):
+        stats = dataclasses.replace(stats, global_batch=global_batch)
+        cluster = ClusterModel()
+        for f, h in [(16, 16), (64, 512), (512, 64)]:
+            cfg = GNNConfig(feature=f, hidden=h, layers=3, kind=kind)
+            assert phase_times(stats, cfg, cluster, FANOUTS[3]) == _phase_times_reference(
+                stats, cfg, cluster, FANOUTS[3]
+            )
