@@ -1,8 +1,9 @@
-"""Benchmark backing the Figure 2/4 quality series (vertex-cut metrics).
+"""Benchmark of the Spark SQL vertex-cut metrics (paper Figure 2/4 quantities).
 
-Measures the Spark SQL replication-factor / balance computation over a real
-DBH assignment — the metric pipeline every quality figure uses. Regenerate
-the series with ``python jobs/fig2_replication_factors.py``.
+Measures ``vertex_cut_quality`` — replication factor and balances from one
+query — over a real DBH assignment. The Figure 2/4 series themselves come
+from ``distgnn.partition_stats``; regenerate them with
+``python jobs/fig2_replication_factors.py``.
 """
 import pytest
 

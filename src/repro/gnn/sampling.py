@@ -149,7 +149,10 @@ def sample_epoch(
         return checkpoints[-1]
 
     try:
-        # Hash-partitioned by src once, so no hop's join reshuffles it.
+        # Checkpointed once so no hop recomputes it. The checkpoint does not
+        # keep the src partitioning (AQE coalesces the repartition, and the
+        # checkpoint reports UnknownPartitioning), so every hop's join
+        # shuffles it again.
         adjacency = checkpoint(sym_edges.repartition("src"))
         frontier = spark.createDataFrame(seeds, schema=SEED_SCHEMA)
         layers = []

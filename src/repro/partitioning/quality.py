@@ -7,8 +7,14 @@ covered vertex sets ``V(p_i)``.
 Edge-cut metrics: edge-cut ratio ``λ = |E_cut| / |E|``, vertex balance over
 partition sizes, and training-vertex balance (DistDGL section).
 
-All metrics are computed with DataFrame aggregations (Catalyst); the tests
-oracle-check each one against the same SQL on DuckDB.
+Each metric function builds one DataFrame and collects it once. The query
+builders :func:`vertex_cut_query` and :func:`edge_cut_query` return the
+per-part rows and a totals row (``part`` NULL) together, from a single
+aggregation. The edge-cut query looks up the part of every edge endpoint and
+of every training vertex in one broadcast of the vertex assignment: the
+sessions disable automatic broadcast joins, and the ``F.broadcast`` hint
+opts this query back in, so no join shuffles. The tests oracle-check both
+builders against the same SQL on DuckDB.
 """
 from __future__ import annotations
 
@@ -40,39 +46,93 @@ class EdgeCutQuality:
     train_vertex_balance: float | None
     vertices_per_part: list[int]
     cut_edges: int
+    train_per_part: list[int] | None = None
 
 
-def covered_vertices(assign: DataFrame) -> DataFrame:
-    """``V(p_i)``: distinct (part, vertex) pairs covered by a vertex-cut."""
-    return (
-        assign.select("part", F.col("src").alias("vertex"))
-        .unionAll(assign.select("part", F.col("dst").alias("vertex")))
-        .distinct()
+def _balance(per_part: list[int], k: int) -> float:
+    mean = sum(per_part) / k
+    return max(per_part) / mean if mean else float("nan")
+
+
+def _split_totals(rows, k: int, cols: tuple[str, ...]):
+    """``{col: [value per part 0..k-1]}`` and the totals row of a query's rows."""
+    parts = {int(r["part"]): r for r in rows if r["part"] is not None}
+    total = next((r for r in rows if r["part"] is None), None)
+    per_part = {c: [int(parts[p][c]) if p in parts else 0 for p in range(k)] for c in cols}
+    return per_part, total
+
+
+def vertex_cut_query(assign: DataFrame) -> DataFrame:
+    """Rows (part, n_edges, n_vertices) of an edge assignment (src, dst, part).
+
+    One row per part with ``|p_i|`` and ``|V(p_i)|``, plus a totals row with
+    ``part`` NULL, ``|E|`` and the distinct vertex count ``|V|``.
+    """
+    ends = assign.select("part", F.posexplode(F.array("src", "dst")).alias("end", "vertex"))
+    return ends.rollup("part").agg(
+        F.count_if(F.col("end") == 0).alias("n_edges"),
+        F.countDistinct("vertex").alias("n_vertices"),
     )
 
 
 def vertex_cut_quality(assign: DataFrame, k: int) -> VertexCutQuality:
     """Quality of an edge-partitioning run from its (src, dst, part) table."""
-    epp_rows = assign.groupBy("part").agg(F.count("*").alias("n_edges")).collect()
-    epp = {int(r["part"]): int(r["n_edges"]) for r in epp_rows}
-    cov = covered_vertices(assign)
-    vpp_rows = cov.groupBy("part").agg(F.count("*").alias("n_vertices")).collect()
-    vpp = {int(r["part"]): int(r["n_vertices"]) for r in vpp_rows}
-    n_vertices = cov.select("vertex").distinct().count()
-    edges_per_part = [epp.get(p, 0) for p in range(k)]
-    vertices_per_part = [vpp.get(p, 0) for p in range(k)]
-    n_edges = sum(edges_per_part)
-    mean_e = n_edges / k
-    mean_v = sum(vertices_per_part) / k
+    per_part, total = _split_totals(
+        vertex_cut_query(assign).collect(), k, ("n_edges", "n_vertices")
+    )
+    edges_per_part, vertices_per_part = per_part["n_edges"], per_part["n_vertices"]
+    n_vertices = int(total["n_vertices"]) if total else 0
     return VertexCutQuality(
         k=k,
         n_vertices=n_vertices,
-        n_edges=n_edges,
+        n_edges=sum(edges_per_part),
         replication_factor=sum(vertices_per_part) / max(1, n_vertices),
-        edge_balance=max(edges_per_part) / mean_e if mean_e else float("nan"),
-        vertex_balance=max(vertices_per_part) / mean_v if mean_v else float("nan"),
+        edge_balance=_balance(edges_per_part, k),
+        vertex_balance=_balance(vertices_per_part, k),
         edges_per_part=edges_per_part,
         vertices_per_part=vertices_per_part,
+    )
+
+
+def edge_cut_query(
+    edges: DataFrame, assign: DataFrame, *, split: DataFrame | None = None
+) -> DataFrame:
+    """Rows of a vertex assignment (vertex, part) over the undirected ``edges``.
+
+    One row per part with ``n_vertices`` (and ``n_train``, its training
+    vertices, when ``split`` is given), plus a totals row with ``part`` NULL,
+    ``n_edges``, ``cut_edges`` and ``unassigned_edges`` (edges with an
+    endpoint that has no assignment row). Each row leaves the other kind's
+    columns NULL: the edge rows carry no ``part``, so the union gives them a
+    NULL one and they aggregate into the totals row. The src, dst and
+    training-vertex lookups all probe one broadcast of the assignment.
+    """
+    part_of = F.broadcast(assign.select("vertex", "part"))
+    ps, pd_ = part_of.alias("ps"), part_of.alias("pd")
+    src_part, dst_part = F.col("ps.part"), F.col("pd.part")
+    edge_rows = (
+        edges.alias("e")
+        .join(ps, F.col("e.src") == F.col("ps.vertex"), "left")
+        .join(pd_, F.col("e.dst") == F.col("pd.vertex"), "left")
+        .select(
+            F.lit(1).alias("n_edges"),
+            (src_part != dst_part).cast("int").alias("cut_edges"),
+            (src_part.isNull() | dst_part.isNull()).cast("int").alias("unassigned_edges"),
+        )
+    )
+    rows = assign.select("part", F.lit(1).alias("n_vertices"))
+    if split is not None:
+        train = split.where(F.col("role") == "train").join(part_of, "vertex")
+        rows = rows.withColumn("n_train", F.lit(0)).unionByName(
+            train.select("part", F.lit(0).alias("n_vertices"), F.lit(1).alias("n_train"))
+        )
+    # One partition satisfies the aggregate's distribution, so it needs no
+    # shuffle: the query is one broadcast job plus one single-task job. Its
+    # input is one row per edge and vertex of a graph the driver already
+    # holds, and the aggregate's output is k + 1 rows.
+    rows = rows.unionByName(edge_rows, allowMissingColumns=True).coalesce(1)
+    return rows.groupBy("part").agg(
+        *(F.sum(c).alias(c) for c in rows.columns if c != "part")
     )
 
 
@@ -87,64 +147,30 @@ def edge_cut_quality(
 
     ``edges`` is the undirected view; ``assign`` has (vertex, part);
     ``split`` optionally has (vertex, role) to compute the training-vertex
-    balance the paper measures for DistDGL.
+    balance the paper measures for DistDGL. Raises ``ValueError`` when an
+    edge endpoint has no assignment row.
     """
-    a_src = assign.withColumnRenamed("vertex", "src").withColumnRenamed("part", "part_src")
-    a_dst = assign.withColumnRenamed("vertex", "dst").withColumnRenamed("part", "part_dst")
-    joined = edges.join(a_src, "src").join(a_dst, "dst")
-    agg = joined.agg(
-        F.count("*").alias("n_edges"),
-        F.sum((F.col("part_src") != F.col("part_dst")).cast("long")).alias("cut"),
-    ).collect()[0]
-    n_edges, cut = int(agg["n_edges"]), int(agg["cut"] or 0)
-
-    vpp_rows = assign.groupBy("part").agg(F.count("*").alias("n")).collect()
-    vpp = {int(r["part"]): int(r["n"]) for r in vpp_rows}
-    vertices_per_part = [vpp.get(p, 0) for p in range(k)]
-    n_vertices = sum(vertices_per_part)
-    mean_v = n_vertices / k
-
-    train_balance = None
-    if split is not None:
-        t_rows = (
-            assign.join(split.where(F.col("role") == "train"), "vertex")
-            .groupBy("part")
-            .agg(F.count("*").alias("n"))
-            .collect()
+    cols = ("n_vertices", "n_train") if split is not None else ("n_vertices",)
+    per_part, total = _split_totals(
+        edge_cut_query(edges, assign, split=split).collect(), k, cols
+    )
+    n_edges = int(total["n_edges"]) if total else 0
+    cut = int(total["cut_edges"] or 0) if total else 0
+    unassigned = int(total["unassigned_edges"]) if total else 0
+    if unassigned:
+        raise ValueError(
+            f"{unassigned} of {n_edges} edges have an endpoint without an assignment row"
         )
-        tpp = {int(r["part"]): int(r["n"]) for r in t_rows}
-        train_per_part = [tpp.get(p, 0) for p in range(k)]
-        mean_t = sum(train_per_part) / k
-        train_balance = max(train_per_part) / mean_t if mean_t else float("nan")
-
+    vertices_per_part = per_part["n_vertices"]
+    train_per_part = per_part.get("n_train")
     return EdgeCutQuality(
         k=k,
-        n_vertices=n_vertices,
+        n_vertices=sum(vertices_per_part),
         n_edges=n_edges,
         edge_cut_ratio=cut / n_edges if n_edges else float("nan"),
-        vertex_balance=max(vertices_per_part) / mean_v if mean_v else float("nan"),
-        train_vertex_balance=train_balance,
+        vertex_balance=_balance(vertices_per_part, k),
+        train_vertex_balance=None if train_per_part is None else _balance(train_per_part, k),
         vertices_per_part=vertices_per_part,
         cut_edges=cut,
-    )
-
-
-def replication_factor_df(assign: DataFrame) -> DataFrame:
-    """Per-part |V(p_i)| as a DataFrame — used by the DuckDB oracle tests."""
-    return covered_vertices(assign).groupBy("part").agg(
-        F.count("*").alias("n_vertices")
-    )
-
-
-def cut_edges_df(edges: DataFrame, assign: DataFrame) -> DataFrame:
-    """One-row DataFrame (n_edges, cut_edges) — used by the oracle tests."""
-    a_src = assign.withColumnRenamed("vertex", "src").withColumnRenamed("part", "part_src")
-    a_dst = assign.withColumnRenamed("vertex", "dst").withColumnRenamed("part", "part_dst")
-    return (
-        edges.join(a_src, "src")
-        .join(a_dst, "dst")
-        .agg(
-            F.count("*").alias("n_edges"),
-            F.sum((F.col("part_src") != F.col("part_dst")).cast("long")).alias("cut_edges"),
-        )
+        train_per_part=train_per_part,
     )

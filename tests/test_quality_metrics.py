@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.graphs.datasets import generate, n_vertices_of, split_to_spark
+from repro.graphs.datasets import generate, n_vertices_of, split_to_spark, split_vertices
 from repro.graphs.generators import to_spark, undirected_view
 from repro.oracle import assert_equivalent
 from repro.partitioning import quality
@@ -21,21 +21,25 @@ def graph(spark):
 
 
 class TestVertexCutQuality:
-    def test_replication_factor_df_matches_duckdb(self, spark, graph):
+    def test_vertex_cut_query_matches_duckdb(self, spark, graph):
         edges, n = graph
         run = run_partitioner(DBHPartitioner(), edges, 4, n_vertices=n)
         assign = assignment_to_spark(spark, run)
-        got = quality.replication_factor_df(assign)
+        got = quality.vertex_cut_query(assign)
         assert_equivalent(
             got,
             """
-            SELECT part, COUNT(*) AS n_vertices FROM (
-              SELECT DISTINCT part, vertex FROM (
-                SELECT part, src AS vertex FROM assign
-                UNION ALL
-                SELECT part, dst AS vertex FROM assign
-              )
-            ) GROUP BY part
+            WITH ends AS (
+              SELECT part, src AS vertex FROM assign
+              UNION ALL
+              SELECT part, dst AS vertex FROM assign
+            )
+            SELECT part, n_edges, n_vertices
+            FROM (SELECT part, COUNT(*) AS n_edges FROM assign GROUP BY part)
+            JOIN (SELECT part, COUNT(DISTINCT vertex) AS n_vertices FROM ends GROUP BY part)
+            USING (part)
+            UNION ALL
+            SELECT NULL, (SELECT COUNT(*) FROM assign), (SELECT COUNT(DISTINCT vertex) FROM ends)
             """,
             assign=run.assignment,
         )
@@ -81,24 +85,47 @@ class TestVertexCutQuality:
 
 
 class TestEdgeCutQuality:
-    def test_cut_edges_df_matches_duckdb(self, spark, graph):
+    EDGE_CUT_SQL = """
+        SELECT a.part, COUNT(*) AS n_vertices, COUNT(t.vertex) AS n_train,
+               NULL AS n_edges, NULL AS cut_edges, NULL AS unassigned_edges
+        FROM assign a
+        LEFT JOIN (SELECT vertex FROM split WHERE role = 'train') t ON a.vertex = t.vertex
+        GROUP BY a.part
+        UNION ALL
+        SELECT NULL, NULL, NULL, COUNT(*),
+               SUM(CASE WHEN pa.part <> pb.part THEN 1 ELSE 0 END),
+               SUM(CASE WHEN pa.part IS NULL OR pb.part IS NULL THEN 1 ELSE 0 END)
+        FROM edges e
+        LEFT JOIN assign pa ON e.src = pa.vertex
+        LEFT JOIN assign pb ON e.dst = pb.vertex
+    """
+
+    def test_edge_cut_query_matches_duckdb(self, spark, graph):
         edges, n = graph
         run = run_partitioner(RandomVertexPartitioner(), edges, 4, n_vertices=n)
-        edges_sdf = to_spark(spark, edges)
-        assign = assignment_to_spark(spark, run)
-        got = quality.cut_edges_df(edges_sdf, assign)
-        assert_equivalent(
-            got,
-            """
-            SELECT COUNT(*) AS n_edges,
-                   SUM(CASE WHEN pa.part <> pb.part THEN 1 ELSE 0 END) AS cut_edges
-            FROM edges e
-            JOIN assign pa ON e.src = pa.vertex
-            JOIN assign pb ON e.dst = pb.vertex
-            """,
-            edges=edges,
-            assign=run.assignment,
+        split = split_vertices(n, seed=7)
+        got = quality.edge_cut_query(
+            to_spark(spark, edges),
+            assignment_to_spark(spark, run),
+            split=spark.createDataFrame(split),
         )
+        assert_equivalent(
+            got, self.EDGE_CUT_SQL, edges=edges, assign=run.assignment, split=split
+        )
+
+    def test_unassigned_endpoint_raises(self, spark, graph):
+        edges, n = graph
+        run = run_partitioner(RandomVertexPartitioner(), edges, 4, n_vertices=n)
+        missing = int(edges["src"].iloc[0])
+        a = run.assignment[run.assignment["vertex"] != missing]
+        split = split_vertices(n, seed=7)
+        edges_sdf, assign_sdf = to_spark(spark, edges), spark.createDataFrame(a)
+        got = quality.edge_cut_query(edges_sdf, assign_sdf, split=spark.createDataFrame(split))
+        assert_equivalent(got, self.EDGE_CUT_SQL, edges=edges, assign=a, split=split)
+        unassigned = int(((edges["src"] == missing) | (edges["dst"] == missing)).sum())
+        assert got.where("part IS NULL").first()["unassigned_edges"] == unassigned > 0
+        with pytest.raises(ValueError, match=f"{unassigned} of {len(edges)} edges"):
+            quality.edge_cut_quality(edges_sdf, assign_sdf, 4)
 
     def test_edge_cut_quality_matches_pandas(self, spark, graph):
         edges, n = graph
@@ -121,8 +148,11 @@ class TestEdgeCutQuality:
         q = quality.edge_cut_quality(
             to_spark(spark, edges), assignment_to_spark(spark, run), 4, split=split
         )
-        assert q.train_vertex_balance is not None
-        assert q.train_vertex_balance >= 1.0
+        s = split_vertices(n, seed=7)
+        train = run.assignment[run.assignment["vertex"].isin(s.loc[s["role"] == "train", "vertex"])]
+        tpp = train.groupby("part").size().reindex(range(4), fill_value=0).tolist()
+        assert q.train_per_part == tpp
+        assert q.train_vertex_balance == max(tpp) / (sum(tpp) / 4)
 
     def test_single_partition_has_zero_cut(self, spark):
         edges = pd.DataFrame({"src": [0, 1, 2], "dst": [1, 2, 3]})
@@ -133,3 +163,48 @@ class TestEdgeCutQuality:
         )
         assert q.edge_cut_ratio == 0.0
         assert q.cut_edges == 0
+
+    def test_part_without_training_vertices_counts_zero(self, spark):
+        edges = pd.DataFrame({"src": [0, 1, 2], "dst": [1, 2, 3]})
+        a = pd.DataFrame({"vertex": [0, 1, 2, 3], "part": [0, 0, 1, 1]})
+        split = pd.DataFrame({"vertex": [0, 1, 2, 3], "role": ["train", "test", "val", "test"]})
+        run_like = type("R", (), {"cut_type": "edge-cut", "assignment": a})()
+        q = quality.edge_cut_quality(
+            to_spark(spark, edges), assignment_to_spark(spark, run_like), 2,
+            split=spark.createDataFrame(split),
+        )
+        assert q.train_per_part == [1, 0]
+        assert q.train_vertex_balance == 2.0
+        assert q.cut_edges == 1
+
+
+def test_results_independent_of_physical_settings(spark, graph):
+    """Same metrics at 16 and 64 shuffle partitions, broadcast off and default."""
+    edges, n = graph
+    vrun = run_partitioner(RandomVertexPartitioner(), edges, 4, n_vertices=n)
+    erun = run_partitioner(DBHPartitioner(), edges, 4, n_vertices=n)
+    edges_sdf, split = to_spark(spark, edges), split_to_spark(spark, n, seed=7)
+    vassign, eassign = assignment_to_spark(spark, vrun), assignment_to_spark(spark, erun)
+    keys = ("spark.sql.shuffle.partitions", "spark.sql.autoBroadcastJoinThreshold")
+    old = {key: spark.conf.get(key) for key in keys}
+    results = {}
+    try:
+        for partitions in (16, 64):
+            for threshold in ("-1", None):
+                spark.conf.set(keys[0], partitions)
+                if threshold is None:
+                    spark.conf.unset(keys[1])
+                else:
+                    spark.conf.set(keys[1], threshold)
+                results[partitions, threshold] = (
+                    quality.edge_cut_quality(edges_sdf, vassign, 4, split=split),
+                    quality.vertex_cut_quality(eassign, 4),
+                )
+    finally:
+        for key, value in old.items():
+            spark.conf.set(key, value)
+    assert {key: spark.conf.get(key) for key in keys} == old
+    first = results[16, "-1"]
+    assert first[0].train_per_part is not None
+    for got in results.values():
+        assert got == first
