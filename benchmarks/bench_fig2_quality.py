@@ -1,32 +1,30 @@
-"""Benchmark of the Spark SQL vertex-cut metrics (paper Figure 2/4 quantities).
+"""Benchmark of the vertex-cut metrics (paper Figure 2/4 quantities).
 
-Measures ``vertex_cut_quality`` — replication factor and balances from one
-query — over a real DBH assignment. The Figure 2/4 series themselves come
-from ``distgnn.partition_stats``; regenerate them with
-``python jobs/fig2_replication_factors.py``.
+Measures ``distgnn.partition_stats`` — per-part edges, covered vertices and
+replicas, from which the replication factor and balances follow — over a
+real DBH assignment. The Figure 2/4 series and Table 4 come from this
+function; regenerate them with ``python jobs/fig2_replication_factors.py``.
 """
 import pytest
 
 from repro.exp.harness import load_bundle
-from repro.partitioning.base import assignment_to_spark, run_partitioner
+from repro.partitioning.base import run_partitioner
 from repro.partitioning.edge.dbh import DBHPartitioner
-from repro.partitioning.quality import vertex_cut_quality
+from repro.simulate.distgnn import partition_stats
 
 SCALE = 1e-3
 K = 8
 
 
 @pytest.fixture(scope="module")
-def assignment(spark):
+def assignment():
     b = load_bundle("EU", scale=SCALE, seed=0)
     run = run_partitioner(DBHPartitioner(), b.edges, K, n_vertices=b.n_vertices, seed=0)
-    sdf = assignment_to_spark(spark, run)
-    sdf.cache().count()
-    return sdf
+    return run.assignment
 
 
 def test_bench_fig2_quality(benchmark, assignment):
-    q = benchmark.pedantic(
-        vertex_cut_quality, args=(assignment, K), rounds=3, iterations=1
+    st = benchmark.pedantic(
+        partition_stats, args=(assignment, K), rounds=3, iterations=1
     )
-    assert 1.0 <= q.replication_factor <= K
+    assert 1.0 <= st.replication_factor <= K

@@ -124,25 +124,32 @@ def run_distgnn_suite(
     df = pd.DataFrame(rows)
     return _with_random_baseline(
         df, ["graph", "k", "feature", "hidden", "layers"],
-        ["epoch_seconds", "network_bytes", "mem_max_bytes", "rf"],
+        {
+            "network_bytes": "net_pct_of_random",
+            "mem_max_bytes": "mem_pct_of_random",
+            "rf": "rf_pct_of_random",
+        },
     )
 
 
 def _with_random_baseline(
-    df: pd.DataFrame, keys: list[str], cols: list[str]
+    df: pd.DataFrame, keys: list[str], pct_of_random: dict[str, str]
 ) -> pd.DataFrame:
-    """Join each row with the Random row of its group: speedup / % columns."""
+    """Join each row with the Random row of its group on ``keys``.
+
+    Adds ``<metric>_random`` for ``epoch_seconds`` and every metric in
+    ``pct_of_random``, the ``speedup`` over Random, and, per ``{metric:
+    column}`` entry, the metric as a percentage of Random's.
+    """
     base = (
         df[df["partitioner"] == "Random"]
-        .set_index(keys)[cols]
+        .set_index(keys)[["epoch_seconds", *pct_of_random]]
         .add_suffix("_random")
     )
     out = df.join(base, on=keys)
     out["speedup"] = out["epoch_seconds_random"] / out["epoch_seconds"]
-    out["mem_pct_of_random"] = 100.0 * out["mem_max_bytes"] / out["mem_max_bytes_random"]
-    out["net_pct_of_random"] = 100.0 * out["network_bytes"] / out["network_bytes_random"]
-    if "rf" in cols:
-        out["rf_pct_of_random"] = 100.0 * out["rf"] / out["rf_random"]
+    for metric, pct in pct_of_random.items():
+        out[pct] = 100.0 * out[metric] / out[f"{metric}_random"]
     return out
 
 
@@ -226,18 +233,11 @@ def run_distdgl_suite(
                             }
                         )
     df = pd.DataFrame(rows)
-    base = (
-        df[df["partitioner"] == "Random"]
-        .set_index(["graph", "k", "feature", "hidden", "layers", "global_batch"])[
-            ["epoch_seconds", "network_bytes", "remote_inputs", "edge_cut"]
-        ]
-        .add_suffix("_random")
+    return _with_random_baseline(
+        df, ["graph", "k", "feature", "hidden", "layers", "global_batch"],
+        {
+            "network_bytes": "net_pct_of_random",
+            "remote_inputs": "remote_pct_of_random",
+            "edge_cut": "cut_pct_of_random",
+        },
     )
-    out = df.join(base, on=["graph", "k", "feature", "hidden", "layers", "global_batch"])
-    out["speedup"] = out["epoch_seconds_random"] / out["epoch_seconds"]
-    out["net_pct_of_random"] = 100.0 * out["network_bytes"] / out["network_bytes_random"]
-    out["remote_pct_of_random"] = (
-        100.0 * out["remote_inputs"] / out["remote_inputs_random"]
-    )
-    out["cut_pct_of_random"] = 100.0 * out["edge_cut"] / out["edge_cut_random"]
-    return out

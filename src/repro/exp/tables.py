@@ -25,7 +25,8 @@ def amortization_table(
     For each config row the savings vs Random are computed; the paper
     averages the resulting epoch counts per (graph, partitioner). Configs
     with a slowdown contribute "no amortization"; a (graph, partitioner)
-    cell is "no" when the *average* saving is non-positive.
+    cell is "no" unless a strict majority of its configs amortize, and
+    otherwise averages the epoch counts of the configs that do.
     """
     graphs = graphs or sorted(suite["graph"].unique())
     out = {}

@@ -128,13 +128,6 @@ def run_partitioner(
     )
 
 
-_EDGE_ASSIGN_SCHEMA = T.StructType(
-    [
-        T.StructField("src", T.LongType(), False),
-        T.StructField("dst", T.LongType(), False),
-        T.StructField("part", T.LongType(), False),
-    ]
-)
 _VERTEX_ASSIGN_SCHEMA = T.StructType(
     [
         T.StructField("vertex", T.LongType(), False),
@@ -144,9 +137,9 @@ _VERTEX_ASSIGN_SCHEMA = T.StructType(
 
 
 def assignment_to_spark(spark: SparkSession, run: PartitionRun) -> DataFrame:
-    """Lift a run's assignment table into Spark for the SQL quality metrics."""
-    schema = _EDGE_ASSIGN_SCHEMA if run.cut_type == VERTEX_CUT else _VERTEX_ASSIGN_SCHEMA
-    return spark.createDataFrame(run.assignment, schema=schema)
+    """Lift a vertex partitioning's (vertex, part) table into Spark for the
+    edge-cut metrics."""
+    return spark.createDataFrame(run.assignment, schema=_VERTEX_ASSIGN_SCHEMA)
 
 
 def degrees_of(edges: pd.DataFrame, n_vertices: int) -> np.ndarray:

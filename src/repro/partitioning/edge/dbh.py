@@ -8,8 +8,6 @@ replication factor on power-law graphs versus random hashing.
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.partitioning.base import EdgePartitioner, degrees_of
 from repro.partitioning.edge.random_ep import hash_to_part
@@ -24,31 +22,8 @@ class DBHPartitioner(EdgePartitioner):
         src = edges["src"].to_numpy(np.int64)
         dst = edges["dst"].to_numpy(np.int64)
         # Lower-degree endpoint; ties broken toward the smaller vertex id so
-        # the choice is deterministic and matches the Spark variant.
+        # the choice is deterministic.
         src_wins = (deg[src] < deg[dst]) | ((deg[src] == deg[dst]) & (src < dst))
         chosen = np.where(src_wins, src, dst)
         return hash_to_part(chosen.astype(np.uint64), k, seed)
 
-
-def spark_assign(edges: DataFrame, k: int, *, seed: int = 0) -> DataFrame:
-    """Spark-native DBH: degree join + hash of the lower-degree endpoint."""
-    und = edges.select("src", "dst")
-    deg = (
-        und.select(F.col("src").alias("vertex"))
-        .unionAll(und.select(F.col("dst").alias("vertex")))
-        .groupBy("vertex")
-        .agg(F.count("*").alias("degree"))
-    )
-    d_src = deg.withColumnRenamed("vertex", "src").withColumnRenamed("degree", "deg_src")
-    d_dst = deg.withColumnRenamed("vertex", "dst").withColumnRenamed("degree", "deg_dst")
-    joined = und.join(d_src, "src").join(d_dst, "dst")
-    chosen = F.when(
-        (F.col("deg_src") < F.col("deg_dst"))
-        | ((F.col("deg_src") == F.col("deg_dst")) & (F.col("src") < F.col("dst"))),
-        F.col("src"),
-    ).otherwise(F.col("dst"))
-    return joined.select(
-        "src",
-        "dst",
-        F.pmod(F.xxhash64(chosen, F.lit(seed)), F.lit(k)).cast("long").alias("part"),
-    )

@@ -7,9 +7,6 @@ balance in expectation, zero partitioning state.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.partitioning.base import EdgePartitioner
 
@@ -44,12 +41,3 @@ class RandomEdgePartitioner(EdgePartitioner):
         key = splitmix64(src) ^ (dst * np.uint64(0x9E3779B97F4A7C15))
         return hash_to_part(key, k, seed)
 
-
-def spark_assign(edges: DataFrame, k: int, *, seed: int = 0) -> DataFrame:
-    """Spark-native variant: (src, dst, part) via xxhash64 — used to show the
-    stateless partitioners are trivially expressible as a Catalyst plan."""
-    return edges.select(
-        "src",
-        "dst",
-        F.pmod(F.xxhash64("src", "dst", F.lit(seed)), F.lit(k)).cast("long").alias("part"),
-    )

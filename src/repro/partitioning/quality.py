@@ -1,20 +1,17 @@
-"""Partitioning-quality metrics (paper Section 2.1) in Spark SQL.
+"""Edge-cut quality metrics (paper Section 2.1) in Spark SQL.
 
-Vertex-cut metrics: replication factor ``RF = (1/|V|) * Σ_i |V(p_i)|``,
-edge balance ``EB = max|p_i| / mean|p_i|`` and vertex balance over the
-covered vertex sets ``V(p_i)``.
+Edge-cut ratio ``λ = |E_cut| / |E|``, vertex balance over partition sizes,
+and training-vertex balance (DistDGL section) of a vertex assignment. The
+vertex-cut metrics (replication factor and balances) are
+:func:`repro.simulate.distgnn.partition_stats`, in pandas.
 
-Edge-cut metrics: edge-cut ratio ``λ = |E_cut| / |E|``, vertex balance over
-partition sizes, and training-vertex balance (DistDGL section).
-
-Each metric function builds one DataFrame and collects it once. The query
-builders :func:`vertex_cut_query` and :func:`edge_cut_query` return the
-per-part rows and a totals row (``part`` NULL) together, from a single
-aggregation. The edge-cut query looks up the part of every edge endpoint and
+:func:`edge_cut_quality` collects the one DataFrame :func:`edge_cut_query`
+builds: the per-part rows and a totals row (``part`` NULL) together, from a
+single aggregation. The query looks up the part of every edge endpoint and
 of every training vertex in one broadcast of the vertex assignment: the
 sessions disable automatic broadcast joins, and the ``F.broadcast`` hint
-opts this query back in, so no join shuffles. The tests oracle-check both
-builders against the same SQL on DuckDB.
+opts this query back in, so no join shuffles. The tests oracle-check the
+query against the same SQL on DuckDB.
 """
 from __future__ import annotations
 
@@ -22,18 +19,6 @@ from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-
-
-@dataclass(frozen=True)
-class VertexCutQuality:
-    k: int
-    n_vertices: int
-    n_edges: int
-    replication_factor: float
-    edge_balance: float
-    vertex_balance: float
-    edges_per_part: list[int]
-    vertices_per_part: list[int]
 
 
 @dataclass(frozen=True)
@@ -60,38 +45,6 @@ def _split_totals(rows, k: int, cols: tuple[str, ...]):
     total = next((r for r in rows if r["part"] is None), None)
     per_part = {c: [int(parts[p][c]) if p in parts else 0 for p in range(k)] for c in cols}
     return per_part, total
-
-
-def vertex_cut_query(assign: DataFrame) -> DataFrame:
-    """Rows (part, n_edges, n_vertices) of an edge assignment (src, dst, part).
-
-    One row per part with ``|p_i|`` and ``|V(p_i)|``, plus a totals row with
-    ``part`` NULL, ``|E|`` and the distinct vertex count ``|V|``.
-    """
-    ends = assign.select("part", F.posexplode(F.array("src", "dst")).alias("end", "vertex"))
-    return ends.rollup("part").agg(
-        F.count_if(F.col("end") == 0).alias("n_edges"),
-        F.countDistinct("vertex").alias("n_vertices"),
-    )
-
-
-def vertex_cut_quality(assign: DataFrame, k: int) -> VertexCutQuality:
-    """Quality of an edge-partitioning run from its (src, dst, part) table."""
-    per_part, total = _split_totals(
-        vertex_cut_query(assign).collect(), k, ("n_edges", "n_vertices")
-    )
-    edges_per_part, vertices_per_part = per_part["n_edges"], per_part["n_vertices"]
-    n_vertices = int(total["n_vertices"]) if total else 0
-    return VertexCutQuality(
-        k=k,
-        n_vertices=n_vertices,
-        n_edges=sum(edges_per_part),
-        replication_factor=sum(vertices_per_part) / max(1, n_vertices),
-        edge_balance=_balance(edges_per_part, k),
-        vertex_balance=_balance(vertices_per_part, k),
-        edges_per_part=edges_per_part,
-        vertices_per_part=vertices_per_part,
-    )
 
 
 def edge_cut_query(

@@ -7,8 +7,6 @@ baseline of the paper's DistDGL track.
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.partitioning.base import VertexPartitioner
 from repro.partitioning.edge.random_ep import hash_to_part
@@ -21,10 +19,3 @@ class RandomVertexPartitioner(VertexPartitioner):
     def assign(self, edges, k, *, n_vertices, seed=0, split=None):
         return hash_to_part(np.arange(n_vertices, dtype=np.uint64), k, seed)
 
-
-def spark_assign(vertices: DataFrame, k: int, *, seed: int = 0) -> DataFrame:
-    """Spark-native variant over a (vertex) DataFrame."""
-    return vertices.select(
-        "vertex",
-        F.pmod(F.xxhash64("vertex", F.lit(seed)), F.lit(k)).cast("long").alias("part"),
-    )

@@ -8,23 +8,14 @@ iteratively each vertex adopts the label maximizing
 with capacity ``C = alpha * n / k``. Synchronous iterations with a
 probabilistic update (only a fraction of improvable vertices move per round)
 prevent label oscillation, as in the original Giraph implementation.
-
-Two implementations share the same update rule:
-
-* :meth:`SpinnerPartitioner.assign` — vectorized numpy driver loop (fast
-  path used by the experiment harness), and
-* :func:`spark_iterate` — the same synchronous iteration expressed as
-  DataFrame joins/aggregations, Spinner being the one in-memory partitioner
-  in the roster that is genuinely a distributed-dataflow algorithm. Tests
-  check a Spark iteration agrees with the numpy one.
+:meth:`SpinnerPartitioner.assign` runs the iterations as a vectorized numpy
+loop on the driver.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
 
-from repro.partitioning.base import VertexPartitioner, build_csr
+from repro.partitioning.base import VertexPartitioner
 
 
 class SpinnerPartitioner(VertexPartitioner):
@@ -76,58 +67,3 @@ class SpinnerPartitioner(VertexPartitioner):
             label[move] = cand[move]
         return label.astype(np.int64)
 
-
-def spark_iterate(
-    sym_edges: DataFrame,
-    labels: DataFrame,
-    k: int,
-    *,
-    alpha: float = 1.05,
-    c_bal: float = 0.5,
-) -> DataFrame:
-    """One synchronous Spinner iteration as a Catalyst plan.
-
-    ``sym_edges`` holds both directions of every edge (src, dst); ``labels``
-    is (vertex, part). Returns the updated (vertex, part). Every vertex
-    moves deterministically to its best label (move_frac=1 variant).
-    """
-    n_vertices = labels.count()
-    cap = alpha * n_vertices / k
-    lbl_dst = labels.withColumnRenamed("vertex", "dst").withColumnRenamed("part", "nbr_part")
-    counts = (
-        sym_edges.join(lbl_dst, "dst")
-        .groupBy(F.col("src").alias("vertex"), F.col("nbr_part").alias("cand"))
-        .agg(F.count("*").alias("cnt"))
-    )
-    deg = sym_edges.groupBy(F.col("src").alias("vertex")).agg(F.count("*").alias("deg"))
-    load = labels.groupBy(F.col("part").alias("cand")).agg(F.count("*").alias("load"))
-    scored = (
-        counts.join(deg, "vertex")
-        .join(load, "cand", "left")
-        .withColumn(
-            "score",
-            F.col("cnt") / F.col("deg")
-            + F.lit(c_bal) * (F.lit(1.0) - F.coalesce(F.col("load"), F.lit(0)) / F.lit(cap)),
-        )
-    )
-    w = Window.partitionBy("vertex").orderBy(F.desc("score"), F.asc("cand"))
-    best = scored.withColumn("rn", F.row_number().over(w)).where(F.col("rn") == 1)
-    # Keep the old label for vertices whose best is not strictly better.
-    cur = labels.withColumnRenamed("part", "old_part")
-    cur_scored = scored.join(
-        cur, (scored["vertex"] == cur["vertex"]) & (scored["cand"] == cur["old_part"])
-    ).select(scored["vertex"].alias("vertex"), F.col("score").alias("cur_score"))
-    out = (
-        cur.join(best.select("vertex", "cand", "score"), "vertex", "left")
-        .join(cur_scored, "vertex", "left")
-        .withColumn(
-            "part",
-            F.when(
-                F.col("cand").isNotNull()
-                & (F.col("score") > F.coalesce(F.col("cur_score"), F.lit(-1e18)) + 1e-12),
-                F.col("cand"),
-            ).otherwise(F.col("old_part")),
-        )
-        .select("vertex", F.col("part").cast("long").alias("part"))
-    )
-    return out

@@ -8,8 +8,6 @@ paper prints "no"; we return ``None``.
 """
 from __future__ import annotations
 
-from repro.simulate.costmodel import normalized_partition_seconds
-
 
 def epochs_to_amortize(
     partition_seconds: float,
@@ -21,20 +19,6 @@ def epochs_to_amortize(
     if saved <= 0:
         return None
     return partition_seconds / saved
-
-
-def epochs_to_amortize_measured(
-    partitioner: str,
-    measured_partition_seconds: float,
-    epoch_seconds_random: float,
-    epoch_seconds_partitioner: float,
-) -> float | None:
-    """Amortization using interpreter-penalty-normalized partitioning time."""
-    return epochs_to_amortize(
-        normalized_partition_seconds(partitioner, measured_partition_seconds),
-        epoch_seconds_random,
-        epoch_seconds_partitioner,
-    )
 
 
 def format_epochs(e: float | None) -> str:

@@ -11,9 +11,32 @@ from repro.exp.harness import (
     run_distdgl_suite,
     run_distgnn_suite,
 )
+from repro.graphs.generators import to_spark
+from repro.partitioning import quality
+from repro.partitioning.base import assignment_to_spark, run_partitioner
+from repro.partitioning.registry import make_vertex_partitioner
 from repro.simulate.distgnn import GNNConfig
 
 SCALE = 1e-4
+
+#: Every column of a suite row; the jobs and tables read them by name.
+GNN_COLUMNS = [
+    "graph", "partitioner", "k", "feature", "hidden", "layers", "epoch_seconds",
+    "compute_seconds", "comm_seconds", "network_bytes", "mem_max_bytes",
+    "mem_balance", "oom", "rf", "vertex_balance", "edge_balance",
+    "partition_seconds", "partition_seconds_norm", "epoch_seconds_random",
+    "network_bytes_random", "mem_max_bytes_random", "rf_random", "speedup",
+    "mem_pct_of_random", "net_pct_of_random", "rf_pct_of_random",
+]
+DGL_COLUMNS = [
+    "graph", "partitioner", "k", "kind", "global_batch", "feature", "hidden",
+    "layers", "epoch_seconds", "t_sampling", "t_fetch", "t_forward", "t_backward",
+    "network_bytes", "edge_cut", "remote_inputs", "input_vertices",
+    "input_vertex_balance", "partition_seconds", "partition_seconds_norm",
+    "epoch_seconds_random", "network_bytes_random", "remote_inputs_random",
+    "edge_cut_random", "speedup", "net_pct_of_random", "remote_pct_of_random",
+    "cut_pct_of_random",
+]
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +80,9 @@ class TestDistGNNSuite:
         # 1 graph x 2 ks x 6 partitioners x 2 configs
         assert len(gnn_suite) == 24
 
+    def test_columns(self, gnn_suite):
+        assert sorted(gnn_suite.columns) == sorted(GNN_COLUMNS)
+
     def test_random_has_speedup_one(self, gnn_suite):
         rnd = gnn_suite[gnn_suite["partitioner"] == "Random"]
         assert np.allclose(rnd["speedup"], 1.0)
@@ -82,6 +108,22 @@ class TestDistDGLSuite:
     def test_row_count(self, dgl_suite):
         # 1 graph x 1 k x 3 partitioners x 2 features x 1 hidden x 1 layer
         assert len(dgl_suite) == 6
+
+    def test_columns(self, dgl_suite):
+        assert sorted(dgl_suite.columns) == sorted(DGL_COLUMNS)
+
+    def test_edge_cut_matches_spark_sql_metric(self, spark, dgl_suite):
+        # The suite counts cut edges in pandas; Fig 12 uses the Spark SQL
+        # metric. Both must give the same ratio on the same partition run.
+        b = load_bundle("EN", scale=SCALE, seed=0)
+        edges = to_spark(spark, b.edges)
+        for p, grp in dgl_suite.groupby("partitioner"):
+            run = run_partitioner(
+                make_vertex_partitioner(p), b.edges, 4,
+                n_vertices=b.n_vertices, seed=0, split=b.split,
+            )
+            q = quality.edge_cut_quality(edges, assignment_to_spark(spark, run), 4)
+            assert (grp["edge_cut"] == q.edge_cut_ratio).all(), p
 
     def test_random_speedup_one(self, dgl_suite):
         rnd = dgl_suite[dgl_suite["partitioner"] == "Random"]

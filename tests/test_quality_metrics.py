@@ -1,4 +1,4 @@
-"""Spark-SQL quality metrics, oracle-checked against DuckDB (paper Sec 2.1)."""
+"""Partitioning-quality metrics, oracle-checked against DuckDB (paper Sec 2.1)."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -9,8 +9,8 @@ from repro.oracle import assert_equivalent
 from repro.partitioning import quality
 from repro.partitioning.base import assignment_to_spark, run_partitioner
 from repro.partitioning.edge.dbh import DBHPartitioner
-from repro.partitioning.edge.random_ep import RandomEdgePartitioner
 from repro.partitioning.vertex.random_vp import RandomVertexPartitioner
+from repro.simulate import distgnn
 
 
 @pytest.fixture(scope="module")
@@ -20,52 +20,47 @@ def graph(spark):
     return edges, n
 
 
-class TestVertexCutQuality:
-    def test_vertex_cut_query_matches_duckdb(self, spark, graph):
+class TestPartitionStats:
+    """The vertex-cut metrics every job uses: ``distgnn.partition_stats``."""
+
+    def test_partition_stats_matches_duckdb(self, graph):
         edges, n = graph
         run = run_partitioner(DBHPartitioner(), edges, 4, n_vertices=n)
-        assign = assignment_to_spark(spark, run)
-        got = quality.vertex_cut_query(assign)
+        st = distgnn.partition_stats(run.assignment, 4)
+        got = pd.DataFrame(
+            {
+                "part": [*range(4), None],
+                "edges": [*st.edges, st.n_edges],
+                "vertices": [*st.vertices, st.n_vertices],
+                "replicas": [*st.replicas, st.replicas.sum()],
+            }
+        )
+        # A vertex's master is the lowest part that covers it; each of its
+        # other covering parts holds a replica.
         assert_equivalent(
             got,
             """
-            WITH ends AS (
-              SELECT part, src AS vertex FROM assign
-              UNION ALL
-              SELECT part, dst AS vertex FROM assign
-            )
-            SELECT part, n_edges, n_vertices
-            FROM (SELECT part, COUNT(*) AS n_edges FROM assign GROUP BY part)
-            JOIN (SELECT part, COUNT(DISTINCT vertex) AS n_vertices FROM ends GROUP BY part)
-            USING (part)
+            WITH cover AS (
+              SELECT DISTINCT part, vertex FROM (
+                SELECT part, src AS vertex FROM assign
+                UNION ALL
+                SELECT part, dst AS vertex FROM assign
+              )
+            ),
+            masters AS (SELECT MIN(part) AS part FROM cover GROUP BY vertex)
+            SELECT part, edges, vertices, vertices - COALESCE(n_masters, 0) AS replicas
+            FROM (SELECT part, COUNT(*) AS edges FROM assign GROUP BY part)
+            JOIN (SELECT part, COUNT(*) AS vertices FROM cover GROUP BY part) USING (part)
+            LEFT JOIN (SELECT part, COUNT(*) AS n_masters FROM masters GROUP BY part) USING (part)
             UNION ALL
-            SELECT NULL, (SELECT COUNT(*) FROM assign), (SELECT COUNT(DISTINCT vertex) FROM ends)
+            SELECT NULL, (SELECT COUNT(*) FROM assign),
+                   (SELECT COUNT(DISTINCT vertex) FROM cover),
+                   (SELECT COUNT(*) FROM cover) - (SELECT COUNT(DISTINCT vertex) FROM cover)
             """,
             assign=run.assignment,
         )
 
-    def test_vertex_cut_quality_matches_pandas(self, spark, graph):
-        edges, n = graph
-        run = run_partitioner(RandomEdgePartitioner(), edges, 4, n_vertices=n)
-        q = quality.vertex_cut_quality(assignment_to_spark(spark, run), 4)
-        a = run.assignment
-        epp = a.groupby("part").size().reindex(range(4), fill_value=0)
-        cov = pd.concat(
-            [
-                a[["part", "src"]].rename(columns={"src": "v"}),
-                a[["part", "dst"]].rename(columns={"dst": "v"}),
-            ]
-        ).drop_duplicates()
-        vpp = cov.groupby("part").size().reindex(range(4), fill_value=0)
-        assert q.edges_per_part == epp.tolist()
-        assert q.vertices_per_part == vpp.tolist()
-        assert np.isclose(q.replication_factor, vpp.sum() / cov["v"].nunique())
-        assert np.isclose(q.edge_balance, epp.max() / epp.mean())
-        assert np.isclose(q.vertex_balance, vpp.max() / vpp.mean())
-        assert q.n_edges == len(a)
-        assert q.n_vertices == cov["v"].nunique()
-
-    def test_perfect_partition_rf_is_one(self, spark):
+    def test_perfect_partition_rf_is_one(self):
         # Two disjoint triangles, each on its own partition: RF == 1.
         a = pd.DataFrame(
             {
@@ -74,14 +69,11 @@ class TestVertexCutQuality:
                 "part": [0, 0, 0, 1, 1, 1],
             }
         )
-        run_like = assignment_to_spark(
-            spark,
-            type("R", (), {"cut_type": "vertex-cut", "assignment": a})(),
-        )
-        q = quality.vertex_cut_quality(run_like, 2)
-        assert q.replication_factor == 1.0
-        assert q.edge_balance == 1.0
-        assert q.vertex_balance == 1.0
+        st = distgnn.partition_stats(a, 2)
+        assert st.replication_factor == 1.0
+        assert st.edge_balance == 1.0
+        assert st.vertex_balance == 1.0
+        assert (st.replicas == 0).all()
 
 
 class TestEdgeCutQuality:
@@ -181,10 +173,9 @@ class TestEdgeCutQuality:
 def test_results_independent_of_physical_settings(spark, graph):
     """Same metrics at 16 and 64 shuffle partitions, broadcast off and default."""
     edges, n = graph
-    vrun = run_partitioner(RandomVertexPartitioner(), edges, 4, n_vertices=n)
-    erun = run_partitioner(DBHPartitioner(), edges, 4, n_vertices=n)
+    run = run_partitioner(RandomVertexPartitioner(), edges, 4, n_vertices=n)
     edges_sdf, split = to_spark(spark, edges), split_to_spark(spark, n, seed=7)
-    vassign, eassign = assignment_to_spark(spark, vrun), assignment_to_spark(spark, erun)
+    assign = assignment_to_spark(spark, run)
     keys = ("spark.sql.shuffle.partitions", "spark.sql.autoBroadcastJoinThreshold")
     old = {key: spark.conf.get(key) for key in keys}
     results = {}
@@ -196,15 +187,14 @@ def test_results_independent_of_physical_settings(spark, graph):
                     spark.conf.unset(keys[1])
                 else:
                     spark.conf.set(keys[1], threshold)
-                results[partitions, threshold] = (
-                    quality.edge_cut_quality(edges_sdf, vassign, 4, split=split),
-                    quality.vertex_cut_quality(eassign, 4),
+                results[partitions, threshold] = quality.edge_cut_quality(
+                    edges_sdf, assign, 4, split=split
                 )
     finally:
         for key, value in old.items():
             spark.conf.set(key, value)
     assert {key: spark.conf.get(key) for key in keys} == old
     first = results[16, "-1"]
-    assert first[0].train_per_part is not None
+    assert first.train_per_part is not None
     for got in results.values():
         assert got == first

@@ -200,7 +200,3 @@ class TestAmortization:
         assert t == pytest.approx(
             1_000_000 * IO_COST_PER_EDGE + 40.0 / PYTHON_PENALTY["HDRF"]
         )
-
-    def test_measured_variant_applies_penalty(self):
-        e = amortization.epochs_to_amortize_measured("HDRF", 40.0, 3.0, 1.0)
-        assert e == pytest.approx(40.0 / PYTHON_PENALTY["HDRF"] / 2.0)

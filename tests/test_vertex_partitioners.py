@@ -173,28 +173,6 @@ class TestSpinner:
         )
         assert c15 <= c1 + 0.02
 
-    def test_spark_iteration_improves_cut(self, spark, eu_graph):
-        # The DataFrame implementation of one synchronous Spinner round must
-        # reduce (or keep) the cut, like the numpy one.
-        from repro.graphs.generators import to_spark
-        from repro.partitioning.vertex.spinner import spark_iterate
-
-        edges, n = eu_graph
-        sym = pd.concat(
-            [edges, edges.rename(columns={"src": "dst", "dst": "src"})[["src", "dst"]]]
-        )
-        sym_sdf = to_spark(spark, sym)
-        rng = np.random.default_rng(0)
-        labels0 = pd.DataFrame({"vertex": np.arange(n), "part": rng.integers(0, 4, n)})
-        labels_sdf = spark.createDataFrame(labels0)
-        out = spark_iterate(sym_sdf, labels_sdf, 4).toPandas()
-        assert len(out) == n
-        part0 = labels0.set_index("vertex")["part"]
-        part1 = out.set_index("vertex")["part"]
-        cut0 = (part0[edges["src"]].to_numpy() != part0[edges["dst"]].to_numpy()).mean()
-        cut1 = (part1[edges["src"]].to_numpy() != part1[edges["dst"]].to_numpy()).mean()
-        assert cut1 < cut0
-
 
 class TestMultilevel:
     def test_coarsen_shrinks_and_preserves_weight(self, eu_graph):
