@@ -3,7 +3,7 @@
 Measures ``distgnn.partition_stats`` — per-part edges, covered vertices and
 replicas, from which the replication factor and balances follow — over a
 real DBH assignment. The Figure 2/4 series and Table 4 come from this
-function; regenerate them with ``python jobs/fig2_replication_factors.py``.
+function; regenerate them with ``python jobs/table4_distgnn_amortization.py``.
 """
 import pytest
 

@@ -15,7 +15,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _common import make_session, save_and_print
 
-import fig2_replication_factors
 import fig12_edge_cut
 import fig24_scaleout
 import fig26_batch_size
@@ -25,7 +24,6 @@ import table5_distdgl_amortization
 
 JOBS = [
     ("graph_stats", graph_stats.run, True),
-    ("fig2_replication_factors", fig2_replication_factors.run, False),
     ("table4_distgnn", table4_distgnn_amortization.run, False),
     ("fig12_edge_cut", fig12_edge_cut.run, True),
     ("table5_distdgl", table5_distdgl_amortization.run, True),

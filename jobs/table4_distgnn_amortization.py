@@ -1,4 +1,4 @@
-"""Table 4 + Figures 7/9/10/11 series: the full DistGNN track.
+"""Table 4 + Figures 2/4/5/6/7/9/10/11 series: the full DistGNN track.
 
 Runs the DistGNN suite over all five graphs, all six edge partitioners,
 4-32 machines and the full Table 3 hyper-parameter grid, then emits:
@@ -9,6 +9,7 @@ Runs the DistGNN suite over all five graphs, all six edge partitioners,
 * ``fig11_rf_pct`` — replication factor in % of Random per scale-out factor;
 * ``oom`` — share of configs out-of-memory per (graph, partitioner)
   (the paper's "DI cannot train under Random" observation);
+* ``fig2_quality``, ``fig2_rf``, ``fig4_vb`` — see :func:`fig2_tables`;
 * ``suite`` — every raw row.
 """
 from __future__ import annotations
@@ -25,6 +26,41 @@ from repro.exp import tables
 from repro.exp.harness import run_distgnn_suite
 
 EDGE_ROSTER = ["DBH", "2PS-L", "HDRF", "HEP10", "HEP100"]
+
+#: Figures 2/4/5/6: one representative config at the smallest and largest k.
+FIG2_ROWS = "feature == 512 and hidden == 64 and layers == 3 and k in (4, 32)"
+QUALITY_COLUMNS = [
+    "graph", "partitioner", "k", "replication_factor", "vertex_balance",
+    "edge_balance", "mem_balance", "partition_seconds", "partition_seconds_norm",
+]
+
+
+def fig2_tables(suite: pd.DataFrame) -> dict[str, pd.DataFrame]:
+    """Figures 2/4/5/6 series: edge-partitioner quality and partitioning time.
+
+    One row per (graph, edge partitioner, k) of the suite rows selected by
+    ``FIG2_ROWS``: replication factor (Fig 2), vertex balance (Fig 4), edge
+    balance, memory balance at that config (Fig 5), and measured +
+    normalized partitioning time (Fig 6).
+    """
+    quality = (
+        suite.query(FIG2_ROWS)
+        .rename(columns={"rf": "replication_factor"})[QUALITY_COLUMNS]
+        .reset_index(drop=True)
+    )
+
+    def by_k(col: str) -> pd.DataFrame:
+        return (
+            quality.pivot_table(index=["graph", "partitioner"], columns="k", values=col)
+            .round(2)
+            .reset_index()
+        )
+
+    return {
+        "fig2_quality": quality,
+        "fig2_rf": by_k("replication_factor"),
+        "fig4_vb": by_k("vertex_balance"),
+    }
 
 
 def run(spark=None, *, scale: float = 1e-3, seed: int = 0) -> dict[str, pd.DataFrame]:
@@ -56,6 +92,7 @@ def run(spark=None, *, scale: float = 1e-3, seed: int = 0) -> dict[str, pd.DataF
         "fig9_mem": mem.reset_index(),
         "fig11_rf_pct": rf_pct.reset_index(),
         "oom": oom.reset_index(),
+        **fig2_tables(suite),
     }
 
 
@@ -66,5 +103,7 @@ if __name__ == "__main__":
     save_and_print(
         "table4_distgnn",
         out,
-        print_keys=("fig7_speedups", "fig9_mem", "fig11_rf_pct", "oom"),
+        print_keys=(
+            "fig2_rf", "fig4_vb", "fig7_speedups", "fig9_mem", "fig11_rf_pct", "oom"
+        ),
     )

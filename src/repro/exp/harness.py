@@ -8,9 +8,10 @@ Two suites mirror the paper's two tracks:
   GraphSage/GCN/GAT; every row is fed by a really-executed Spark sampling
   epoch on the partitioned graph.
 
-Partition runs and sampling epochs are cached per (graph, partitioner, k)
-inside a suite invocation so the hyper-parameter grid never re-runs the
-expensive parts. Jobs persist suite outputs under ``results/`` as parquet.
+Each suite runs every partitioner once per (graph, k), and the DistDGL
+suite samples one epoch per layer count on that run; every config and
+model kind in the grid is evaluated on those. Jobs select their tables
+from the suite rows and persist them under ``results/`` as parquet.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from pyspark.sql import SparkSession
 from repro.graphs.datasets import generate, n_vertices_of, split_vertices
 from repro.graphs.generators import symmetrized, to_spark, undirected_view
 from repro.gnn.sampling import FANOUTS, plan_batches, sample_epoch
-from repro.partitioning.base import PartitionRun, run_partitioner
+from repro.partitioning.base import run_partitioner
 from repro.partitioning.registry import make_edge_partitioner, make_vertex_partitioner
 from repro.simulate import distdgl, distgnn
 from repro.simulate.costmodel import ClusterModel, partition_time_model
@@ -41,12 +42,10 @@ MACHINES = (4, 8, 16, 32)
 DEFAULT_GLOBAL_BATCH = 64
 
 
-def hyper_grid(
-    features=FEATURE_SIZES, hiddens=HIDDEN_DIMS, layer_counts=NUM_LAYERS, kind="sage"
-) -> list[distgnn.GNNConfig]:
+def hyper_grid() -> list[distgnn.GNNConfig]:
     return [
-        distgnn.GNNConfig(feature=f, hidden=h, layers=l, kind=kind)
-        for f, h, l in itertools.product(features, hiddens, layer_counts)
+        distgnn.GNNConfig(feature=f, hidden=h, layers=l)
+        for f, h, l in itertools.product(FEATURE_SIZES, HIDDEN_DIMS, NUM_LAYERS)
     ]
 
 
@@ -162,40 +161,33 @@ def run_distdgl_suite(
     features=FEATURE_SIZES,
     hiddens=HIDDEN_DIMS,
     layer_counts=NUM_LAYERS,
-    kind: str = "sage",
+    kinds: tuple[str, ...] = ("sage",),
     global_batch: int = DEFAULT_GLOBAL_BATCH,
     scale: float,
     seed: int = 0,
     cluster: ClusterModel | None = None,
 ) -> pd.DataFrame:
-    """DistDGL track: one row per (graph, partitioner, k, config).
+    """DistDGL track: one row per (graph, partitioner, k, config, kind).
 
-    The expensive pieces (partitioning, one Spark-executed sampling epoch
-    per layer count) run once per (graph, partitioner, k); feature/hidden
-    sweeps reuse them, mirroring how those knobs don't change the sampled
-    graph.
+    Each partitioner runs once per (graph, k), and one Spark-executed
+    sampling epoch per layer count runs on it. Every (feature, hidden,
+    kind) row of that layer count reads the same epoch: these knobs change
+    only the flop and byte counts, not the sampled graph.
     """
     cluster = cluster or ClusterModel()
     rows = []
     for gname in graphs:
         b = load_bundle(gname, scale=scale, seed=seed)
         sym_sdf = to_spark(spark, symmetrized(b.edges))
+        src, dst = b.edges["src"].to_numpy(), b.edges["dst"].to_numpy()
         for k in ks:
             for pname in partitioners:
                 run = run_partitioner(
                     make_vertex_partitioner(pname), b.edges, k,
                     n_vertices=b.n_vertices, seed=seed, split=b.split,
                 )
-                owner = (
-                    run.assignment.set_index("vertex")["part"].sort_index().to_numpy()
-                )
-                part_of = run.assignment.set_index("vertex")["part"]
-                cut = float(
-                    (
-                        part_of[b.edges["src"]].to_numpy()
-                        != part_of[b.edges["dst"]].to_numpy()
-                    ).mean()
-                )
+                owner = run.assignment["part"].to_numpy()
+                cut = float((owner[src] != owner[dst]).mean())
                 seeds = plan_batches(b.train, owner, k, global_batch, seed=seed)
                 for L in layer_counts:
                     fanouts = FANOUTS[L]
@@ -203,7 +195,7 @@ def run_distdgl_suite(
                         spark, sym_sdf, seeds, owner, fanouts,
                         seed=seed, global_batch=global_batch,
                     )
-                    for f, h in itertools.product(features, hiddens):
+                    for f, h, kind in itertools.product(features, hiddens, kinds):
                         cfg = distgnn.GNNConfig(feature=f, hidden=h, layers=L, kind=kind)
                         ph = distdgl.phase_times(stats, cfg, cluster, fanouts)
                         rows.append(
@@ -234,7 +226,7 @@ def run_distdgl_suite(
                         )
     df = pd.DataFrame(rows)
     return _with_random_baseline(
-        df, ["graph", "k", "feature", "hidden", "layers", "global_batch"],
+        df, ["graph", "k", "kind", "feature", "hidden", "layers", "global_batch"],
         {
             "network_bytes": "net_pct_of_random",
             "remote_inputs": "remote_pct_of_random",

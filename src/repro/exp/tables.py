@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.simulate.amortization import epochs_to_amortize, format_epochs
+from repro.simulate.amortization import epochs_to_amortize
 
 
 def amortization_table(
@@ -54,27 +54,6 @@ def amortization_table(
     return pd.DataFrame(out).T[partitioners]
 
 
-def render_markdown(df: pd.DataFrame, *, index_name: str = "Graph") -> str:
-    """Minimal markdown table renderer (no tabulate in the offline env)."""
-    cols = list(df.columns)
-    lines = [
-        "| " + " | ".join([index_name] + [str(c) for c in cols]) + " |",
-        "|" + "---|" * (len(cols) + 1),
-    ]
-    for idx, row in df.iterrows():
-        cells = [
-            v if isinstance(v, str) else ("" if pd.isna(v) else f"{v:.2f}")
-            for v in row.tolist()
-        ]
-        lines.append("| " + " | ".join([str(idx)] + cells) + " |")
-    return "\n".join(lines)
-
-
-def render_amortization(table: pd.DataFrame) -> str:
-    """Markdown rendering, "no" for non-amortizing cells as in the paper."""
-    return render_markdown(table.map(format_epochs))
-
-
 def mean_speedups(
     suite: pd.DataFrame, *, by=("graph", "partitioner", "k")
 ) -> pd.DataFrame:
@@ -96,11 +75,4 @@ def mean_metric_pct(
         .groupby(list(by))[col]
         .mean()
         .reset_index()
-    )
-
-
-def quality_table(suite: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
-    """One row per (graph, partitioner, k) with partitioning-quality cols."""
-    return (
-        suite.groupby(["graph", "partitioner", "k"])[cols].first().reset_index()
     )

@@ -1,130 +1,10 @@
-"""Numpy reference implementations of the GNN layers in the study.
+"""Per-layer flop counts of the GNN layers in the study.
 
 The paper's workloads are GraphSage (both systems), plus GCN and GAT for
-DistDGL. These dense reference implementations define the semantics the
-Spark full-batch engine must match (tests diff the two), and their
-per-layer flop counts anchor the cost model in ``repro.simulate``.
-
-Notation follows the paper's Eq. 1-2: layer k aggregates neighbor
-representations h^(k-1) and updates with a learned transformation.
+DistDGL. :func:`layer_flops` gives each layer's forward flops; the DistGNN
+and DistDGL models in ``repro.simulate`` turn them into compute time.
 """
 from __future__ import annotations
-
-import numpy as np
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(0.0, x)
-
-
-def init_weights(
-    dims: list[int], *, seed: int = 0, kind: str = "sage"
-) -> list[dict[str, np.ndarray]]:
-    """Deterministic Glorot-ish weights for a stack of layers.
-
-    ``dims = [f, h1, ..., hL]``; returns one dict per layer. GraphSage
-    layers carry ``W_self`` and ``W_neigh``; GCN/GAT carry ``W`` (GAT adds
-    attention vectors ``a_src``/``a_dst``).
-    """
-    rng = np.random.default_rng(seed)
-    out = []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        s = np.sqrt(6.0 / (d_in + d_out))
-        if kind == "sage":
-            out.append(
-                {
-                    "W_self": rng.uniform(-s, s, (d_in, d_out)),
-                    "W_neigh": rng.uniform(-s, s, (d_in, d_out)),
-                }
-            )
-        elif kind == "gcn":
-            out.append({"W": rng.uniform(-s, s, (d_in, d_out))})
-        elif kind == "gat":
-            out.append(
-                {
-                    "W": rng.uniform(-s, s, (d_in, d_out)),
-                    "a_src": rng.uniform(-s, s, d_out),
-                    "a_dst": rng.uniform(-s, s, d_out),
-                }
-            )
-        else:
-            raise ValueError(kind)
-    return out
-
-
-def mean_neighbors(h: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Mean of in-neighbor states per vertex over a directed edge list.
-
-    ``src -> dst``: dst aggregates src states. Vertices without in-edges
-    aggregate to zero (GraphSage convention for empty neighborhoods).
-    """
-    n, d = h.shape
-    agg = np.zeros((n, d))
-    np.add.at(agg, dst, h[src])
-    cnt = np.bincount(dst, minlength=n).astype(np.float64)
-    nz = cnt > 0
-    agg[nz] /= cnt[nz, None]
-    return agg
-
-
-def sage_layer(
-    h: np.ndarray, src: np.ndarray, dst: np.ndarray, w: dict[str, np.ndarray], *, act=relu
-) -> np.ndarray:
-    """GraphSage-mean layer: act(h @ W_self + mean_N(h) @ W_neigh)."""
-    return act(h @ w["W_self"] + mean_neighbors(h, src, dst) @ w["W_neigh"])
-
-
-def gcn_layer(
-    h: np.ndarray, src: np.ndarray, dst: np.ndarray, w: dict[str, np.ndarray], *, act=relu
-) -> np.ndarray:
-    """GCN layer with symmetric degree normalization over the edge list."""
-    n = h.shape[0]
-    deg = np.bincount(dst, minlength=n) + 1.0  # +1: self loop
-    norm = 1.0 / np.sqrt(deg)
-    msg = h * norm[:, None]
-    agg = np.zeros_like(h)
-    np.add.at(agg, dst, msg[src])
-    agg += msg  # self loop
-    agg *= norm[:, None]
-    return act(agg @ w["W"])
-
-
-def gat_layer(
-    h: np.ndarray, src: np.ndarray, dst: np.ndarray, w: dict[str, np.ndarray], *, act=relu
-) -> np.ndarray:
-    """Single-head GAT layer with softmax attention over in-edges."""
-    z = h @ w["W"]
-    e = z[src] @ w["a_src"] + z[dst] @ w["a_dst"]
-    e = np.where(e > 0, e, 0.2 * e)  # LeakyReLU
-    e = np.exp(e - e.max() if len(e) else e)
-    n, d = z.shape
-    denom = np.zeros(n)
-    np.add.at(denom, dst, e)
-    agg = np.zeros((n, d))
-    np.add.at(agg, dst, z[src] * e[:, None])
-    nz = denom > 0
-    agg[nz] /= denom[nz, None]
-    agg[~nz] = z[~nz]  # no in-edges: fall back to self
-    return act(agg)
-
-
-_LAYER_FNS = {"sage": sage_layer, "gcn": gcn_layer, "gat": gat_layer}
-
-
-def forward(
-    features: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-    weights: list[dict[str, np.ndarray]],
-    *,
-    kind: str = "sage",
-) -> np.ndarray:
-    """Full-batch forward pass through a stack of layers."""
-    fn = _LAYER_FNS[kind]
-    h = features
-    for w in weights:
-        h = fn(h, src, dst, w)
-    return h
 
 
 def layer_flops(

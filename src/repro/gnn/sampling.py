@@ -75,10 +75,6 @@ class EpochSamplingStats:
     def n_steps(self) -> int:
         return int(self.per_step["step"].max()) + 1 if len(self.per_step) else 0
 
-    def straggler_per_step(self, col: str) -> np.ndarray:
-        """Max of ``col`` across workers for each step (the straggler)."""
-        return self.per_step.groupby("step")[col].max().to_numpy()
-
     def epoch_total(self, col: str) -> float:
         return float(self.per_step[col].sum())
 
@@ -255,8 +251,3 @@ def _stats_from_sampled(
         sampled=sampled,
         hop_edges=hop_edges,
     )
-
-
-def sampled_edges_per_layer(sampled: pd.DataFrame) -> pd.DataFrame:
-    """(worker, step, layer) -> edge count."""
-    return sampled.groupby(["worker", "step", "layer"]).size().rename("n").reset_index()

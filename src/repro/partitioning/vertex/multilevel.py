@@ -275,14 +275,6 @@ def refine_fm(
     return part
 
 
-def project(levels: list[_Level], coarse_part: np.ndarray, upto: int) -> np.ndarray:
-    """Project a partition from level ``upto`` back to the finest level."""
-    part = coarse_part
-    for lvl in range(upto, 0, -1):
-        part = part[levels[lvl].cmap]
-    return part
-
-
 def multilevel_partition(
     eu: np.ndarray,
     ev: np.ndarray,

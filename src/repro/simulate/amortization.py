@@ -19,10 +19,3 @@ def epochs_to_amortize(
     if saved <= 0:
         return None
     return partition_seconds / saved
-
-
-def format_epochs(e: float | None) -> str:
-    """Render like the paper: 2 decimals, or "no" when never amortizing."""
-    if e is None or (isinstance(e, float) and e != e):  # None or NaN
-        return "no"
-    return f"{e:.2f}"

@@ -146,6 +146,49 @@ class TestDistDGLSuite:
         assert (dgl_suite["global_batch"] == DEFAULT_GLOBAL_BATCH).all()
 
 
+class TestDistDGLKinds:
+    """Several model kinds share one partition run and one epoch per layer count."""
+
+    SAMPLING_COLUMNS = [
+        "edge_cut", "remote_inputs", "input_vertices", "input_vertex_balance",
+        "t_sampling", "t_fetch", "network_bytes",
+    ]
+
+    @pytest.fixture(scope="class")
+    def suites(self, spark):
+        def suite(kinds):
+            df = run_distdgl_suite(
+                spark, graphs=("EN",), partitioners=("Random", "Metis"), ks=(4,),
+                features=(16, 512), hiddens=(64,), layer_counts=(2,), kinds=kinds,
+                scale=SCALE, seed=0,
+            )
+            return df.drop(columns=["partition_seconds", "partition_seconds_norm"])
+
+        return suite(("sage", "gat")), suite(("sage",))
+
+    def test_sage_rows_equal_a_sage_only_suite(self, suites):
+        both, sage = suites
+        pd.testing.assert_frame_equal(
+            both[both["kind"] == "sage"].reset_index(drop=True), sage
+        )
+
+    def test_gat_rows_share_the_sampled_epoch(self, suites):
+        both, _ = suites
+        keys = ["graph", "partitioner", "k", "feature", "hidden", "layers"]
+        by_kind = {
+            kind: grp.set_index(keys).sort_index()[self.SAMPLING_COLUMNS]
+            for kind, grp in both.groupby("kind")
+        }
+        assert len(by_kind["gat"]) == len(by_kind["sage"]) == 4
+        pd.testing.assert_frame_equal(by_kind["gat"], by_kind["sage"])
+
+    def test_random_speedup_one_per_kind(self, suites):
+        both, _ = suites
+        rnd = both[both["partitioner"] == "Random"]
+        assert sorted(rnd["kind"]) == ["gat", "gat", "sage", "sage"]
+        assert (rnd["speedup"] == 1.0).all()
+
+
 class TestTables:
     def test_amortization_table_shape(self, gnn_suite):
         t = tables.amortization_table(
@@ -159,20 +202,6 @@ class TestTables:
         v = t.loc["EU", "HEP100"]
         assert v is None or v > 0
 
-    def test_render_handles_no(self):
-        t = pd.DataFrame({"A": [None, 1.5]}, index=["G1", "G2"])
-        md = tables.render_amortization(t)
-        assert "no" in md and "1.50" in md
-
-    def test_render_markdown_plain(self):
-        df = pd.DataFrame({"x": [1.0]}, index=["r"])
-        md = tables.render_markdown(df)
-        assert md.startswith("| Graph | x |")
-
     def test_mean_speedups_excludes_random(self, gnn_suite):
         sp = tables.mean_speedups(gnn_suite)
         assert "Random" not in set(sp["partitioner"])
-
-    def test_quality_table_unique_rows(self, gnn_suite):
-        q = tables.quality_table(gnn_suite, ["rf", "vertex_balance"])
-        assert not q.duplicated(["graph", "partitioner", "k"]).any()

@@ -7,10 +7,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "jobs"))
 
-import fig2_replication_factors
 import fig12_edge_cut
 import graph_stats
+import table4_distgnn_amortization
 import table5_distdgl_amortization
+from repro.exp.harness import run_distgnn_suite
+from repro.simulate.distgnn import GNNConfig
 
 SCALE = 1e-4
 
@@ -27,24 +29,34 @@ class TestGraphStatsJob:
 
 
 class TestFig2Job:
+    """Fig 2/4/5 tables, selected by the Table 4 job from its suite rows."""
+
     @pytest.fixture(scope="class")
     def out(self):
-        return fig2_replication_factors.run(scale=SCALE, ks=(4,))
+        suite = run_distgnn_suite(ks=(4,), configs=[GNNConfig(512, 64, 3)], scale=SCALE)
+        return table4_distgnn_amortization.fig2_tables(suite)
+
+    def test_quality_columns(self, out):
+        assert list(out["fig2_quality"].columns) == [
+            "graph", "partitioner", "k", "replication_factor", "vertex_balance",
+            "edge_balance", "mem_balance", "partition_seconds",
+            "partition_seconds_norm",
+        ]
 
     def test_all_partitioners_covered(self, out):
-        q = out["quality"]
+        q = out["fig2_quality"]
         assert set(q["partitioner"]) == {
             "Random", "DBH", "HDRF", "2PS-L", "HEP10", "HEP100"
         }
 
     def test_random_has_worst_rf(self, out):
-        q = out["quality"]
+        q = out["fig2_quality"]
         for g, sub in q.groupby("graph"):
             rnd = sub.loc[sub["partitioner"] == "Random", "replication_factor"].iloc[0]
             assert rnd >= sub["replication_factor"].max() - 1e-9, g
 
     def test_mem_balance_tracks_vertex_balance(self, out):
-        q = out["quality"]
+        q = out["fig2_quality"]
         corr = q["mem_balance"].corr(q["vertex_balance"])
         assert corr > 0.95  # paper Figure 5: near-perfect correlation
 

@@ -1,8 +1,10 @@
 """Every module under ``src/repro/`` is run by a job or by the benchmark.
 
 A module that only its own tests import is dead code: the jobs and the
-benchmark never execute it, so its results reach no table.
+benchmark never execute it, so its results reach no table. The same holds
+for a public function or class that nothing but its tests names.
 """
+import ast
 import json
 import subprocess
 import sys
@@ -38,3 +40,38 @@ def test_every_module_is_imported_by_a_job_or_the_benchmark():
     )
     loaded = set(json.loads(out.stdout.splitlines()[-1]))
     assert sorted(modules - TEST_ONLY - loaded) == []
+
+
+def _references(path: Path) -> list[tuple[str, int]]:
+    """(name, line) of every name, attribute and exact string in ``path``."""
+    refs = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.append((node.value, node.lineno))
+    return refs
+
+
+def test_every_public_name_is_used_outside_its_tests():
+    refs = {
+        p: _references(p)
+        for d in ("src", "jobs", "perfbench", "benchmarks")
+        for p in (ROOT / d).rglob("*.py")
+    }
+    unused = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        if _module_name(path) in TEST_ONLY:
+            continue
+        for d in ast.parse(path.read_text()).body:
+            if not isinstance(d, (ast.FunctionDef, ast.ClassDef)) or d.name.startswith("_"):
+                continue
+            if not any(
+                name == d.name and not (p == path and d.lineno <= line <= d.end_lineno)
+                for p, rs in refs.items()
+                for name, line in rs
+            ):
+                unused.append(f"{_module_name(path)}.{d.name}")
+    assert unused == []

@@ -14,7 +14,6 @@ from repro.gnn.sampling import (
     _stats_from_sampled,
     plan_batches,
     sample_epoch,
-    sampled_edges_per_layer,
 )
 from repro.partitioning.base import run_partitioner
 from repro.partitioning.vertex.metis_like import MetisLikePartitioner
@@ -103,16 +102,9 @@ class TestSampleEpoch:
     def test_input_vertex_balance_at_least_one(self, stats):
         assert stats.input_vertex_balance() >= 1.0
 
-    def test_straggler_is_max(self, stats):
-        s = stats.straggler_per_step("sampled_edges")
-        for step in range(stats.n_steps):
-            sub = stats.per_step[stats.per_step["step"] == step]
-            assert s[step] == sub["sampled_edges"].max()
-
     def test_per_layer_counts_sum_to_total(self, stats):
-        per_layer = sampled_edges_per_layer(stats.sampled)
-        assert per_layer["n"].sum() == len(stats.sampled)
-        assert per_layer["n"].sum() == stats.epoch_total("sampled_edges")
+        assert stats.hop_edges.sum() == len(stats.sampled)
+        assert stats.hop_edges.sum() == stats.epoch_total("sampled_edges")
 
 
 class TestSamplingSemantics:
@@ -305,7 +297,9 @@ def _phase_times_reference(stats, cfg, cluster, fanouts):
         ps["remote_inputs"] * cfg.feature * BYTES_PER_SCALAR / cluster.net_bandwidth
         + local_inputs * cluster.local_read_cost
     )
-    per_layer = sampled_edges_per_layer(stats.sampled)
+    per_layer = (
+        stats.sampled.groupby(["worker", "step", "layer"]).size().rename("n").reset_index()
+    )
     flop_rows = []
     for (w, s), grp in per_layer.groupby(["worker", "step"]):
         edges_by_hop = dict(zip(grp["layer"], grp["n"]))

@@ -1,6 +1,4 @@
 """Tests for the cost model, DistGNN/DistDGL simulators and amortization."""
-import numpy as np
-import pandas as pd
 import pytest
 
 from repro.graphs.datasets import generate, n_vertices_of, split_vertices
@@ -178,10 +176,6 @@ class TestAmortization:
     def test_slowdown_returns_none(self):
         assert amortization.epochs_to_amortize(10.0, 1.0, 2.0) is None
         assert amortization.epochs_to_amortize(10.0, 1.0, 1.0) is None
-
-    def test_formatting(self):
-        assert amortization.format_epochs(None) == "no"
-        assert amortization.format_epochs(3.14159) == "3.14"
 
     def test_penalty_normalization(self):
         assert normalized_partition_seconds("HDRF", 40.0) == pytest.approx(
