@@ -36,12 +36,12 @@ def make_session(app: str):
     return s
 
 
-def save_and_print(job: str, outputs: dict, *, print_keys: tuple[str, ...] = ()):
+def save_and_print(job: str, outputs: dict, *, print_keys: tuple[str, ...]):
     RESULTS_DIR.mkdir(exist_ok=True)
     for name, df in outputs.items():
         path = RESULTS_DIR / f"{job}__{name}.parquet"
-        df.to_parquet(path)
+        df.rename(columns=str).to_parquet(path)
         print(f"[{job}] wrote {path} ({len(df)} rows)", file=sys.stderr)
-    for key in print_keys or outputs:
+    for key in print_keys:
         print(f"\n=== {job}: {key} ===")
         print(outputs[key].to_string())

@@ -23,6 +23,8 @@ from repro.partitioning.base import assignment_to_spark, run_partitioner
 from repro.partitioning.registry import VERTEX_PARTITIONERS, make_vertex_partitioner
 from repro.simulate.costmodel import partition_time_model
 
+PRINT_KEYS = ("fig12_cut", "fig15_time")
+
 
 def run(spark, *, scale: float = 1e-3, seed: int = 0, ks=(4, 32)) -> dict[str, pd.DataFrame]:
     rows = []
@@ -65,5 +67,5 @@ def run(spark, *, scale: float = 1e-3, seed: int = 0, ks=(4, 32)) -> dict[str, p
 
 if __name__ == "__main__":
     spark = make_session("fig12_edge_cut")
-    save_and_print("fig12_edge_cut", run(spark), print_keys=("fig12_cut", "fig15_time"))
+    save_and_print("fig12_edge_cut", run(spark), print_keys=PRINT_KEYS)
     spark.stop()

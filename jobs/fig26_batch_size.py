@@ -22,28 +22,24 @@ from _common import make_session, save_and_print
 from repro.exp.harness import run_distdgl_suite
 
 BATCHES = (16, 32, 64, 128, 256)
+PRINT_KEYS = ("fig26a_speedup", "fig26b_net_pct", "fig26c_remote_pct")
 
 
 def run(spark, *, scale: float = 1e-3, seed: int = 0) -> dict[str, pd.DataFrame]:
-    # GraphSage and GAT rows of one batch size share its partition runs and
-    # sampled epochs: the model kind changes only the flop count.
-    suite = pd.concat(
-        [
-            run_distdgl_suite(
-                spark,
-                graphs=("OR",),
-                ks=(16,),
-                features=(64, 512),
-                hiddens=(64,),
-                layer_counts=(3,),
-                kinds=("sage", "gat"),
-                global_batch=gbs,
-                scale=scale,
-                seed=seed,
-            )
-            for gbs in BATCHES
-        ],
-        ignore_index=True,
+    # Each partitioner runs once and serves every batch size; GraphSage and
+    # GAT rows of one batch size share its sampled epoch: the model kind
+    # changes only the flop count.
+    suite = run_distdgl_suite(
+        spark,
+        graphs=("OR",),
+        ks=(16,),
+        features=(64, 512),
+        hiddens=(64,),
+        layer_counts=(3,),
+        kinds=("sage", "gat"),
+        global_batch=BATCHES,
+        scale=scale,
+        seed=seed,
     )
     sel = suite[suite["partitioner"] != "Random"]
     speedup = sel[sel["feature"] == 512].pivot_table(
@@ -66,9 +62,5 @@ def run(spark, *, scale: float = 1e-3, seed: int = 0) -> dict[str, pd.DataFrame]
 
 if __name__ == "__main__":
     spark = make_session("fig26_batch_size")
-    save_and_print(
-        "fig26_batch_size",
-        run(spark),
-        print_keys=("fig26a_speedup", "fig26b_net_pct", "fig26c_remote_pct"),
-    )
+    save_and_print("fig26_batch_size", run(spark), print_keys=PRINT_KEYS)
     spark.stop()

@@ -15,6 +15,8 @@ import pandas as pd
 from _common import make_session, save_and_print
 from repro.graphs.datasets import BENCH_SCALE, GRAPHS, load, summary
 
+PRINT_KEYS = ("table1",)
+
 
 def run(spark, *, scale: float = BENCH_SCALE, seed: int = 0) -> dict[str, pd.DataFrame]:
     rows = []
@@ -38,5 +40,5 @@ def run(spark, *, scale: float = BENCH_SCALE, seed: int = 0) -> dict[str, pd.Dat
 
 if __name__ == "__main__":
     spark = make_session("graph_stats")
-    save_and_print("graph_stats", run(spark))
+    save_and_print("graph_stats", run(spark), print_keys=PRINT_KEYS)
     spark.stop()

@@ -33,6 +33,9 @@ QUALITY_COLUMNS = [
     "graph", "partitioner", "k", "replication_factor", "vertex_balance",
     "edge_balance", "mem_balance", "partition_seconds", "partition_seconds_norm",
 ]
+PRINT_KEYS = (
+    "table4", "fig2_rf", "fig4_vb", "fig7_speedups", "fig9_mem", "fig11_rf_pct", "oom"
+)
 
 
 def fig2_tables(suite: pd.DataFrame) -> dict[str, pd.DataFrame]:
@@ -97,13 +100,4 @@ def run(spark=None, *, scale: float = 1e-3, seed: int = 0) -> dict[str, pd.DataF
 
 
 if __name__ == "__main__":
-    out = run()
-    print("\n=== Table 4 (epochs to amortize; blank = no amortization) ===")
-    print(out["table4"].round(2).to_string())
-    save_and_print(
-        "table4_distgnn",
-        out,
-        print_keys=(
-            "fig2_rf", "fig4_vb", "fig7_speedups", "fig9_mem", "fig11_rf_pct", "oom"
-        ),
-    )
+    save_and_print("table4_distgnn", run(), print_keys=PRINT_KEYS)

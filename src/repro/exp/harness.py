@@ -9,8 +9,8 @@ Two suites mirror the paper's two tracks:
   epoch on the partitioned graph.
 
 Each suite runs every partitioner once per (graph, k), and the DistDGL
-suite samples one epoch per layer count on that run; every config and
-model kind in the grid is evaluated on those. Jobs select their tables
+suite samples one epoch per (batch size, layer count) on that run; every
+config and model kind in the grid is evaluated on those. Jobs select their tables
 from the suite rows and persist them under ``results/`` as parquet.
 """
 from __future__ import annotations
@@ -162,17 +162,18 @@ def run_distdgl_suite(
     hiddens=HIDDEN_DIMS,
     layer_counts=NUM_LAYERS,
     kinds: tuple[str, ...] = ("sage",),
-    global_batch: int = DEFAULT_GLOBAL_BATCH,
+    global_batch: int | tuple[int, ...] = DEFAULT_GLOBAL_BATCH,
     scale: float,
     seed: int = 0,
     cluster: ClusterModel | None = None,
 ) -> pd.DataFrame:
-    """DistDGL track: one row per (graph, partitioner, k, config, kind).
+    """DistDGL track: one row per (graph, partitioner, k, batch, config, kind).
 
-    Each partitioner runs once per (graph, k), and one Spark-executed
-    sampling epoch per layer count runs on it. Every (feature, hidden,
-    kind) row of that layer count reads the same epoch: these knobs change
-    only the flop and byte counts, not the sampled graph.
+    ``global_batch`` is one size or a tuple of sizes. Each partitioner runs
+    once per (graph, k), and that one run serves every batch size: one
+    Spark-executed sampling epoch per (batch size, layer count) runs on it.
+    Every (feature, hidden, kind) row of that epoch reads the same sample:
+    these knobs change only the flop and byte counts, not the sampled graph.
     """
     cluster = cluster or ClusterModel()
     rows = []
@@ -188,42 +189,43 @@ def run_distdgl_suite(
                 )
                 owner = run.assignment["part"].to_numpy()
                 cut = float((owner[src] != owner[dst]).mean())
-                seeds = plan_batches(b.train, owner, k, global_batch, seed=seed)
-                for L in layer_counts:
-                    fanouts = FANOUTS[L]
-                    stats = sample_epoch(
-                        spark, sym_sdf, seeds, owner, fanouts,
-                        seed=seed, global_batch=global_batch,
-                    )
-                    for f, h, kind in itertools.product(features, hiddens, kinds):
-                        cfg = distgnn.GNNConfig(feature=f, hidden=h, layers=L, kind=kind)
-                        ph = distdgl.phase_times(stats, cfg, cluster, fanouts)
-                        rows.append(
-                            {
-                                "graph": gname,
-                                "partitioner": pname,
-                                "k": k,
-                                "kind": kind,
-                                "global_batch": global_batch,
-                                "feature": f,
-                                "hidden": h,
-                                "layers": L,
-                                "epoch_seconds": ph.epoch_seconds,
-                                "t_sampling": ph.sampling,
-                                "t_fetch": ph.feature_fetch,
-                                "t_forward": ph.forward,
-                                "t_backward": ph.backward,
-                                "network_bytes": distdgl.network_bytes(stats, cfg),
-                                "edge_cut": cut,
-                                "remote_inputs": stats.epoch_total("remote_inputs"),
-                                "input_vertices": stats.epoch_total("input_vertices"),
-                                "input_vertex_balance": stats.input_vertex_balance(),
-                                "partition_seconds": run.seconds,
-                                "partition_seconds_norm": partition_time_model(
-                                    pname, run.seconds, len(b.edges)
-                                ),
-                            }
+                for gbs in np.atleast_1d(global_batch).tolist():
+                    seeds = plan_batches(b.train, owner, k, gbs, seed=seed)
+                    for L in layer_counts:
+                        fanouts = FANOUTS[L]
+                        stats = sample_epoch(
+                            spark, sym_sdf, seeds, owner, fanouts,
+                            seed=seed, global_batch=gbs,
                         )
+                        for f, h, kind in itertools.product(features, hiddens, kinds):
+                            cfg = distgnn.GNNConfig(feature=f, hidden=h, layers=L, kind=kind)
+                            ph = distdgl.phase_times(stats, cfg, cluster, fanouts)
+                            rows.append(
+                                {
+                                    "graph": gname,
+                                    "partitioner": pname,
+                                    "k": k,
+                                    "kind": kind,
+                                    "global_batch": gbs,
+                                    "feature": f,
+                                    "hidden": h,
+                                    "layers": L,
+                                    "epoch_seconds": ph.epoch_seconds,
+                                    "t_sampling": ph.sampling,
+                                    "t_fetch": ph.feature_fetch,
+                                    "t_forward": ph.forward,
+                                    "t_backward": ph.backward,
+                                    "network_bytes": distdgl.network_bytes(stats, cfg),
+                                    "edge_cut": cut,
+                                    "remote_inputs": stats.epoch_total("remote_inputs"),
+                                    "input_vertices": stats.epoch_total("input_vertices"),
+                                    "input_vertex_balance": stats.input_vertex_balance(),
+                                    "partition_seconds": run.seconds,
+                                    "partition_seconds_norm": partition_time_model(
+                                        pname, run.seconds, len(b.edges)
+                                    ),
+                                }
+                            )
     df = pd.DataFrame(rows)
     return _with_random_baseline(
         df, ["graph", "k", "kind", "feature", "hidden", "layers", "global_batch"],

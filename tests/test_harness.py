@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.exp import tables
+from repro.exp import harness, tables
 from repro.exp.harness import (
     DEFAULT_GLOBAL_BATCH,
     hyper_grid,
@@ -187,6 +187,50 @@ class TestDistDGLKinds:
         rnd = both[both["partitioner"] == "Random"]
         assert sorted(rnd["kind"]) == ["gat", "gat", "sage", "sage"]
         assert (rnd["speedup"] == 1.0).all()
+
+
+class TestDistDGLBatchSizes:
+    """Several batch sizes share one partition run per (graph, partitioner, k)."""
+
+    TIMING_COLUMNS = ["partition_seconds", "partition_seconds_norm"]
+
+    @pytest.fixture(scope="class")
+    def suites(self, spark):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return run_partitioner(*args, **kwargs)
+
+        def suite(global_batch):
+            return run_distdgl_suite(
+                spark, graphs=("EN",), partitioners=("Random", "Metis"), ks=(4,),
+                features=(16, 512), hiddens=(64,), layer_counts=(2,),
+                global_batch=global_batch, scale=SCALE, seed=0,
+            )
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "run_partitioner", counted)
+            both = suite((32, 64))
+        return both, suite(64), len(calls)
+
+    def test_rows_equal_a_single_batch_suite(self, suites):
+        both, single, _ = suites
+        pd.testing.assert_frame_equal(
+            both[both["global_batch"] == 64].drop(columns=self.TIMING_COLUMNS)
+            .reset_index(drop=True),
+            single.drop(columns=self.TIMING_COLUMNS),
+        )
+
+    def test_one_partition_timing_per_run(self, suites):
+        both, _, _ = suites
+        assert sorted(both["global_batch"].unique()) == [32, 64]
+        per_run = both.groupby(["graph", "partitioner", "k"])[self.TIMING_COLUMNS]
+        assert (per_run.nunique() == 1).all().all()
+
+    def test_partitioned_once_for_all_batch_sizes(self, suites):
+        _, _, calls = suites
+        assert calls == 2  # Random and Metis, not once per batch size
 
 
 class TestTables:

@@ -1,5 +1,6 @@
 """Smoke tests: every job entrypoint runs end to end at test scale."""
 import sys
+import warnings
 from pathlib import Path
 
 import pandas as pd
@@ -7,11 +8,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "jobs"))
 
+import _common
 import fig12_edge_cut
 import graph_stats
 import table4_distgnn_amortization
 import table5_distdgl_amortization
-from repro.exp.harness import run_distgnn_suite
+from repro.exp.harness import run_distdgl_suite, run_distgnn_suite
 from repro.simulate.distgnn import GNNConfig
 
 SCALE = 1e-4
@@ -89,7 +91,6 @@ class TestTable5Job:
         # Full job is bench-scale; smoke-test the pipeline on one graph by
         # calling the underlying suite with job-equivalent parameters.
         from repro.exp import tables
-        from repro.exp.harness import run_distdgl_suite
 
         suite = run_distdgl_suite(
             spark,
@@ -112,3 +113,61 @@ class TestTable5Job:
         assert table5_distdgl_amortization.VERTEX_ROSTER == [
             "ByteGNN", "KaHIP", "LDG", "Spinner", "Metis"
         ]
+
+
+class TestFig24Tables:
+    """Fig 24 from the Table 5 job: its k=8 points are Table 5 suite rows."""
+
+    @pytest.fixture(scope="class")
+    def job(self, spark):
+        # The job's two suite calls, cut down to EU, Random+Metis, h=64, L=3.
+        job = table5_distdgl_amortization
+        suites = []
+
+        def small_suite(spark, **kwargs):
+            kwargs.update(
+                graphs=("EU",), partitioners=("Random", "Metis"), hiddens=(64,),
+                layer_counts=(3,),
+            )
+            suites.append(run_distdgl_suite(spark, **kwargs))
+            return suites[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(job, "run_distdgl_suite", small_suite)
+            out = job.run(spark, scale=SCALE)
+        return out, suites
+
+    def test_k_columns_in_order(self, job):
+        _, (t5, scaleout) = job
+        for name, df in table5_distdgl_amortization.fig24_tables(t5, scaleout).items():
+            if name != "fig24_suite":
+                assert list(df.columns) == ["graph", "partitioner", 4, 8, 16, 32]
+
+    def test_k8_column_is_table5_speedup(self, job):
+        _, (t5, scaleout) = job
+        sp = table5_distdgl_amortization.fig24_tables(t5, scaleout)["fig24a_speedup"]
+        rows = t5.query("partitioner != 'Random' and feature == 512 and layers == 3")
+        assert list(sp[8]) == list(rows["speedup"].round(3))
+
+    def test_k8_rows_are_the_table5_suite_rows(self, job):
+        out, _ = job
+        fig24 = out["fig24_suite"]
+        pd.testing.assert_frame_equal(
+            fig24[fig24["k"] == 8].reset_index(drop=True),
+            out["suite"].query(table5_distdgl_amortization.FIG24_ROWS)
+            .reset_index(drop=True),
+        )
+        assert sorted(fig24["k"].unique()) == [4, 8, 16, 32]
+
+
+class TestSaveAndPrint:
+    def test_pivot_columns_roundtrip_as_strings(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_common, "RESULTS_DIR", tmp_path)
+        pivot = pd.DataFrame(
+            {"graph": ["EU"], "partitioner": ["Metis"], 4: [1.5], 32: [1.2]}
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _common.save_and_print("job", {"pivot": pivot}, print_keys=("pivot",))
+        back = pd.read_parquet(tmp_path / "job__pivot.parquet")
+        assert list(back.columns) == ["graph", "partitioner", "4", "32"]
