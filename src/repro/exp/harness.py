@@ -5,8 +5,9 @@ Two suites mirror the paper's two tracks:
 * :func:`run_distgnn_suite` — edge partitioners (vertex-cut), full-batch
   GraphSage; pure driver computation fed by really-executed partition runs.
 * :func:`run_distdgl_suite` — vertex partitioners (edge-cut), mini-batch
-  GraphSage/GCN/GAT; every row is fed by a really-executed Spark sampling
-  epoch on the partitioned graph.
+  GraphSage/GCN/GAT; every row is fed by a really-executed sampling epoch
+  on the partitioned graph (on the driver, over a CSR adjacency built once
+  per graph) and by the partition run's Spark SQL edge-cut.
 
 Each suite runs every partitioner once per (graph, k), and the DistDGL
 suite samples one epoch per (batch size, layer count) on that run; every
@@ -23,9 +24,10 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.graphs.datasets import generate, n_vertices_of, split_vertices
-from repro.graphs.generators import symmetrized, to_spark, undirected_view
+from repro.graphs.generators import csr_adjacency, to_spark, undirected_view
 from repro.gnn.sampling import FANOUTS, plan_batches, sample_epoch
-from repro.partitioning.base import run_partitioner
+from repro.partitioning import quality
+from repro.partitioning.base import assignment_to_spark, run_partitioner
 from repro.partitioning.registry import make_edge_partitioner, make_vertex_partitioner
 from repro.simulate import distdgl, distgnn
 from repro.simulate.costmodel import ClusterModel, partition_time_model
@@ -171,7 +173,8 @@ def run_distdgl_suite(
 
     ``global_batch`` is one size or a tuple of sizes. Each partitioner runs
     once per (graph, k), and that one run serves every batch size: one
-    Spark-executed sampling epoch per (batch size, layer count) runs on it.
+    sampling epoch per (batch size, layer count) runs on it. Its edge-cut
+    is the Spark SQL metric of Fig 12 (:func:`quality.edge_cut_quality`).
     Every (feature, hidden, kind) row of that epoch reads the same sample:
     these knobs change only the flop and byte counts, not the sampled graph.
     """
@@ -179,8 +182,8 @@ def run_distdgl_suite(
     rows = []
     for gname in graphs:
         b = load_bundle(gname, scale=scale, seed=seed)
-        sym_sdf = to_spark(spark, symmetrized(b.edges))
-        src, dst = b.edges["src"].to_numpy(), b.edges["dst"].to_numpy()
+        indptr, indices = csr_adjacency(b.edges, b.n_vertices)
+        edges_sdf = to_spark(spark, b.edges)
         for k in ks:
             for pname in partitioners:
                 run = run_partitioner(
@@ -188,13 +191,15 @@ def run_distdgl_suite(
                     n_vertices=b.n_vertices, seed=seed, split=b.split,
                 )
                 owner = run.assignment["part"].to_numpy()
-                cut = float((owner[src] != owner[dst]).mean())
+                cut = quality.edge_cut_quality(
+                    edges_sdf, assignment_to_spark(spark, run), k
+                ).edge_cut_ratio
                 for gbs in np.atleast_1d(global_batch).tolist():
                     seeds = plan_batches(b.train, owner, k, gbs, seed=seed)
                     for L in layer_counts:
                         fanouts = FANOUTS[L]
                         stats = sample_epoch(
-                            spark, sym_sdf, seeds, owner, fanouts,
+                            indptr, indices, seeds, owner, fanouts,
                             seed=seed, global_batch=gbs,
                         )
                         for f, h, kind in itertools.product(features, hiddens, kinds):

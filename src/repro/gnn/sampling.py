@@ -1,4 +1,4 @@
-"""DistDGL-style k-hop mini-batch neighborhood sampling on Spark.
+"""DistDGL-style k-hop mini-batch neighborhood sampling over a CSR adjacency.
 
 DistDGL trains mini-batch GNNs over a vertex-partitioned (edge-cut) graph:
 each worker owns one partition, samples the k-hop neighborhood of its local
@@ -8,23 +8,29 @@ all come from this pipeline: sampled-edge counts (computation-graph size),
 input-vertex balance (Figure 14), remote vertices (Figures 24b, 26c) and
 the phase-time decomposition built on top of them.
 
-The sampler here executes the per-layer expansion as a Catalyst plan —
-join the frontier against the adjacency, keep ``fanout`` neighbors per
-(worker, step, source) via a windowed ``row_number`` — and collects the
-(small) sampled-edge table to the driver, where the per-step statistics
-are computed with numpy.
+The sampler runs on the driver, as DistDGL samples from in-memory CSR
+partitions: each hop expands every (worker, step, vertex) frontier row to
+its neighbours in the CSR adjacency (``indptr``, ``indices``) and keeps
+``fanout`` of them; the per-step statistics are then reduced with numpy.
 
 * **Hash-ordered.** The neighbors kept are the ``fanout`` smallest by
-  ``xxhash64(seed, layer, worker, step, src, dst)``, ties broken by
-  ``dst``. The sample is a pure function of its inputs: it does not depend
-  on shuffle partitioning, on the master, or on how often Spark evaluates
-  a plan.
-* **Each hop once.** Each hop's sampled edges and the frontier they grow
-  are materialized with ``localCheckpoint()``; later hops and the final
-  collect read those blocks instead of re-deriving the hop. The collected
-  rows are therefore one consistent computation graph per (worker, step):
-  every layer-l source is a seed or a destination sampled at an earlier
-  layer. :func:`sample_epoch` releases the blocks before it returns.
+  ``xxhash64(seed, layer, worker, step, src, dst)`` as a signed long, ties
+  broken by ``dst``. The hash is a numpy port of Spark's
+  ``F.xxhash64(F.lit(seed), F.lit(layer), ...)`` over long columns, and the
+  sample equals a Spark window plan that ranks with it (the tests compare
+  both). The sample is a pure function of its inputs, whatever the order of
+  the seed rows.
+* **Each hop once.** Layer ``l`` samples from every vertex reached so far
+  (the seeds and the destinations of layers < l), so the sampled rows are
+  one consistent computation graph per (worker, step): every layer-l source
+  is a seed or a destination sampled at an earlier layer.
+* **Ranks only what can be kept.** A row whose degree is at most its
+  fanout keeps its whole neighbourhood unranked. Other rows drop the
+  candidates above a per-row hash threshold, which leaves about
+  ``OVERSAMPLE * fanout`` of them, before the one sort that ranks them; a
+  row left with fewer than ``fanout`` keeps all its candidates, so the
+  result is exact. Candidates are expanded ``CHUNK`` at a time, which
+  bounds the driver memory a hop takes.
 
 Paper fanouts (Section 5.1): 2-layer (25, 20), 3-layer (15, 10, 5), 4-layer
 (10, 10, 5, 5); global batch size 1024 split evenly across workers.
@@ -32,13 +38,9 @@ Paper fanouts (Section 5.1): 2-layer (25, 20), 3-layer (15, 10, 5), 4-layer
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window
-from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
 #: Paper Section 5.1 fanout schedules, keyed by number of layers.
 FANOUTS: dict[int, tuple[int, ...]] = {
@@ -47,13 +49,21 @@ FANOUTS: dict[int, tuple[int, ...]] = {
     4: (10, 10, 5, 5),
 }
 
-SEED_SCHEMA = T.StructType(
-    [
-        T.StructField("worker", T.LongType(), False),
-        T.StructField("step", T.LongType(), False),
-        T.StructField("vertex", T.LongType(), False),
-    ]
-)
+#: Expected candidates a ranked row keeps through the hash prefilter, as a
+#: multiple of its fanout. At 4x, a row falls short of its fanout (and is
+#: ranked whole) with a probability far below one in a million for fanouts >= 5.
+OVERSAMPLE = 4
+#: Candidate (frontier row, neighbour) pairs hashed at once.
+CHUNK = 1 << 19
+
+# Spark's XXH64 (org.apache.spark.sql.catalyst.expressions.XXH64).
+_P1 = np.uint64(0x9E3779B185EBCA87)
+_P2 = np.uint64(0xC2B2AE3D27D4EB4F)
+_P3 = np.uint64(0x165667B19E3779F9)
+_P4 = np.uint64(0x85EBCA77C2B2AE63)
+_P5 = np.uint64(0x27D4EB2F165667C5)
+#: Spark's ``xxhash64`` expression seed.
+_SPARK_SEED = 42
 
 
 @dataclass
@@ -118,9 +128,152 @@ def plan_batches(
     return out.drop_duplicates(["worker", "step", "vertex"]).reset_index(drop=True)
 
 
+# --- Spark's xxhash64 in numpy ------------------------------------------------
+
+
+def _rotl(x: np.ndarray, r: int) -> np.ndarray:
+    """Rotate ``x`` left by ``r`` bits, in place."""
+    high = x >> np.uint64(64 - r)
+    x <<= np.uint64(r)
+    x |= high
+    return x
+
+
+def _fmix(h: np.ndarray) -> np.ndarray:
+    h ^= h >> np.uint64(33)
+    h *= _P2
+    h ^= h >> np.uint64(29)
+    h *= _P3
+    h ^= h >> np.uint64(32)
+    return h
+
+
+def _hash_int(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``XXH64.hashInt``: ``x`` holds the int's 32 bits, unsigned."""
+    t = x * _P1
+    t ^= h + (_P5 + np.uint64(4))
+    _rotl(t, 23)
+    t *= _P2
+    t += _P3
+    return _fmix(t)
+
+
+def _hash_long(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``XXH64.hashLong``: ``x`` holds the long's 64 bits, unsigned."""
+    t = _rotl(x * _P2, 31)
+    t *= _P1
+    t ^= h + (_P5 + np.uint64(8))
+    _rotl(t, 27)
+    t *= _P1
+    t += _P4
+    return _fmix(t)
+
+
+def _hash_literal(value: int, h: np.ndarray) -> np.ndarray:
+    """Fold a Python int as ``F.lit`` types it: int in int32 range, else long."""
+    if -(2**31) <= value < 2**31:
+        return _hash_int(np.array([value & 0xFFFFFFFF], dtype=np.uint64), h)
+    return _hash_long(np.array([value], dtype=np.int64).view(np.uint64), h)
+
+
+def _u64(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.int64).view(np.uint64)
+
+
+def _fold_rows(seed: int, layer: int, worker, step, src) -> np.ndarray:
+    """The hash state after ``(seed, layer, worker, step, src)``, per row."""
+    h = np.array([_SPARK_SEED], dtype=np.uint64)
+    h = _hash_literal(layer, _hash_literal(seed, h))
+    for col in (worker, step, src):
+        h = _hash_long(_u64(col), h)
+    return h
+
+
+# --- the sampler --------------------------------------------------------------
+
+
+def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + n)`` for each (s, n)."""
+    offsets = np.cumsum(length) - length
+    return np.repeat(start - offsets, length) + np.arange(int(length.sum()))
+
+
+def _fallback(keep: np.ndarray, row: np.ndarray, n_rows: int, fan: int) -> np.ndarray:
+    """Rows left with fewer than ``fan`` candidates by the prefilter keep them all."""
+    short = np.bincount(row[keep], minlength=n_rows) < fan
+    return keep | short[row]
+
+
+def _order_in_rows(r: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Indices that sort candidates by (row ``r``, signed hash ``h``).
+
+    ``r`` is ascending and, within a row, candidates come in ``dst`` order
+    (the CSR neighbourhoods are sorted), so the stable sorts keep equal
+    hashes in ``dst`` order. One packed int64 key is sorted: the row above
+    the hash's top bits. If two candidates of a row share those bits, the
+    candidates are ranked by the full hash instead.
+    """
+    hbits = 63 - int(r[-1]).bit_length()
+    top = (h.view(np.uint64) ^ np.uint64(1 << 63)) >> np.uint64(64 - hbits)
+    key = (r << hbits) | top.view(np.int64)
+    order = np.argsort(key, kind="stable")
+    if (np.diff(key[order]) == 0).any():
+        order = np.lexsort((h, r))
+    return order
+
+
+def _sample_hop(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    worker: np.ndarray,
+    step: np.ndarray,
+    src: np.ndarray,
+    seed: int,
+    layer: int,
+    fan: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(frontier row, dst) of the ``fan`` neighbours each frontier row keeps."""
+    start = indptr[src]
+    deg = indptr[src + 1] - start
+    whole = np.flatnonzero(deg <= fan)
+    rows = [np.repeat(whole, deg[whole])]
+    dsts = [indices[_ranges(start[whole], deg[whole])]]
+
+    ranked = np.flatnonzero(deg > fan)
+    h0 = _fold_rows(seed, layer, worker[ranked], step[ranked], src[ranked])
+    # Keep a candidate when its signed hash is <= the row's threshold, the
+    # (OVERSAMPLE * fan / deg) quantile of the uniform long range; a row with
+    # deg <= OVERSAMPLE * fan keeps every candidate. The cast cannot
+    # overflow: frac <= 1 - 1/deg bounds the threshold below 2**63 - 2**33.
+    frac = OVERSAMPLE * fan / deg[ranked]
+    thr = np.full(len(ranked), np.iinfo(np.int64).max)
+    filtered = frac < 1
+    thr[filtered] = (frac[filtered] * 2.0**64 - 2.0**63).astype(np.int64)
+
+    cum = np.cumsum(deg[ranked])
+    a = 0
+    while a < len(ranked):
+        base = cum[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(cum, base + CHUNK, side="right")))
+        r = np.repeat(np.arange(b - a), deg[ranked[a:b]])
+        dst = indices[_ranges(start[ranked[a:b]], deg[ranked[a:b]])]
+        h = _hash_long(_u64(dst), h0[a:b][r]).view(np.int64)
+        keep = _fallback(h <= thr[a:b][r], r, b - a, fan)
+        r, dst, h = r[keep], dst[keep], h[keep]
+        order = _order_in_rows(r, h)
+        r, dst = r[order], dst[order]
+        counts = np.bincount(r, minlength=b - a)
+        rank = np.arange(len(r)) - (np.cumsum(counts) - counts)[r]
+        top = rank < fan
+        rows.append(ranked[a:b][r[top]])
+        dsts.append(dst[top])
+        a = b
+    return np.concatenate(rows), np.concatenate(dsts)
+
+
 def sample_epoch(
-    spark: SparkSession,
-    sym_edges: DataFrame,
+    indptr: np.ndarray,
+    indices: np.ndarray,
     seeds: pd.DataFrame,
     owner_of: np.ndarray,
     fanouts: tuple[int, ...],
@@ -130,63 +283,47 @@ def sample_epoch(
 ) -> EpochSamplingStats:
     """Sample one epoch of mini-batches; returns per-step statistics.
 
-    ``sym_edges`` holds both directions of every edge (src, dst) so the
-    sampler expands over undirected neighborhoods like DGL does on the
-    symmetrized graphs of the study. Layer ``l`` samples from every vertex
-    reached so far (the seeds and the destinations of layers < l), as DGL's
-    blocks keep their destination vertices among their sources.
+    ``indptr``/``indices`` is the CSR adjacency of the symmetrized graph
+    (:func:`repro.graphs.generators.csr_adjacency`), so the sampler expands
+    over undirected neighborhoods like DGL does on the symmetrized graphs of
+    the study. Layer ``l`` samples from every vertex reached so far (the
+    seeds and the destinations of layers < l), as DGL's blocks keep their
+    destination vertices among their sources.
     """
     k = int(owner_of.max()) + 1 if len(owner_of) else 1
-    checkpoints: list[DataFrame] = []
-
-    def checkpoint(df: DataFrame) -> DataFrame:
-        """Compute ``df`` now; later plans read its blocks instead of its plan."""
-        checkpoints.append(df.localCheckpoint())
-        return checkpoints[-1]
-
-    try:
-        # Checkpointed once so no hop recomputes it. The checkpoint does not
-        # keep the src partitioning (AQE coalesces the repartition, and the
-        # checkpoint reports UnknownPartitioning), so every hop's join
-        # shuffles it again.
-        adjacency = checkpoint(sym_edges.repartition("src"))
-        frontier = spark.createDataFrame(seeds, schema=SEED_SCHEMA)
-        layers = []
-        for lidx, fan in enumerate(fanouts):
-            cand = frontier.withColumnRenamed("vertex", "src").join(adjacency, "src")
-            w = Window.partitionBy("worker", "step", "src").orderBy(
-                F.xxhash64(F.lit(seed), F.lit(lidx), "worker", "step", "src", "dst"),
-                "dst",
-            )
-            samp = checkpoint(
-                cand.withColumn("rn", F.row_number().over(w))
-                .where(F.col("rn") <= fan)
-                .select("worker", "step", "src", "dst", F.lit(lidx).alias("layer"))
-            )
-            layers.append(samp)
-            if lidx + 1 < len(fanouts):
-                frontier = checkpoint(
-                    frontier.unionAll(
-                        samp.select("worker", "step", F.col("dst").alias("vertex"))
-                    ).distinct()
-                )
-        all_sampled = reduce(DataFrame.unionAll, layers).toPandas()
-    finally:
-        for df in checkpoints:
-            _release_checkpoint(df)
-    return _stats_from_sampled(
-        seeds, all_sampled, owner_of, len(fanouts), k, global_batch or 0
+    n = len(indptr) - 1
+    n_steps = int(seeds["step"].max()) + 1
+    # Frontier rows as sorted distinct keys (worker * n_steps + step) * n + vertex.
+    frontier = np.unique(
+        (seeds["worker"].to_numpy(np.int64) * n_steps + seeds["step"].to_numpy(np.int64)) * n
+        + seeds["vertex"].to_numpy(np.int64)
     )
-
-
-def _release_checkpoint(df: DataFrame) -> None:
-    """Free the blocks behind a ``localCheckpoint()`` result.
-
-    ``DataFrame.unpersist`` does not reach them: a local checkpoint persists
-    the RDD under the DataFrame's ``LogicalRDD`` plan, not a cached query.
-    Blocking, so no block removal is still running after the sampler returns.
-    """
-    df._jdf.queryExecution().logical().rdd().unpersist(True)
+    hops = []
+    for layer, fan in enumerate(fanouts):
+        group, src = np.divmod(frontier, n)
+        row, dst = _sample_hop(
+            indptr, indices, group // n_steps, group % n_steps, src, seed, layer, fan
+        )
+        hops.append((group[row], src[row], dst))
+        if layer + 1 < len(fanouts):
+            frontier = np.union1d(frontier, group[row] * n + dst)
+    group = np.concatenate([g for g, _, _ in hops])
+    sampled = pd.DataFrame(
+        {
+            "worker": group // n_steps,
+            "step": group % n_steps,
+            "src": np.concatenate([s for _, s, _ in hops]),
+            "dst": np.concatenate([d for _, _, d in hops]),
+            "layer": np.repeat(
+                np.arange(len(fanouts), dtype=np.int32), [len(d) for _, _, d in hops]
+            ),
+        },
+        copy=False,
+    )
+    del hops, group  # free the per-hop pieces before the reduction
+    return _stats_from_sampled(
+        seeds, sampled, owner_of, len(fanouts), k, global_batch or 0
+    )
 
 
 def _stats_from_sampled(

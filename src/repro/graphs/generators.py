@@ -197,3 +197,17 @@ def symmetrized(edges: pd.DataFrame) -> pd.DataFrame:
     fwd = und
     bwd = und.rename(columns={"src": "dst", "dst": "src"})[["src", "dst"]]
     return pd.concat([fwd, bwd], ignore_index=True)
+
+
+def csr_adjacency(edges: pd.DataFrame, n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of :func:`symmetrized` over vertices ``0..n_vertices-1``.
+
+    ``indices[indptr[v]:indptr[v + 1]]`` is v's neighbourhood, ascending;
+    a vertex without edges has an empty one.
+    """
+    sym = symmetrized(edges)
+    src = sym["src"].to_numpy(np.int64)
+    dst = sym["dst"].to_numpy(np.int64)
+    indptr = np.zeros(n_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n_vertices), out=indptr[1:])
+    return indptr, dst[np.lexsort((dst, src))]

@@ -101,6 +101,18 @@ class TestViews:
         pairs = set(zip(sym["src"], sym["dst"]))
         assert (1, 0) in pairs and (2, 1) in pairs
 
+    def test_csr_adjacency_rows_are_sorted_symmetrized_neighbourhoods(self):
+        # Duplicate (1, 3)/(3, 1), a self-loop on 4; vertices 0, 4 and 6 have
+        # no edges, and 6 lies past every edge endpoint.
+        df = pd.DataFrame({"src": [3, 1, 5, 3, 2, 4], "dst": [1, 3, 1, 2, 5, 4]})
+        indptr, indices = generators.csr_adjacency(df, 7)
+        sym = generators.symmetrized(df)
+        assert indptr[0] == 0 and indptr[-1] == len(indices) == len(sym)
+        for v in range(7):
+            want = np.sort(sym.loc[sym["src"] == v, "dst"].to_numpy())
+            np.testing.assert_array_equal(indices[indptr[v]:indptr[v + 1]], want)
+        assert [v for v in range(7) if indptr[v] == indptr[v + 1]] == [0, 4, 6]
+
 
 @pytest.mark.parametrize("name", list(GRAPHS))
 class TestDatasets:

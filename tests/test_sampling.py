@@ -1,12 +1,21 @@
-"""Tests for the DistDGL-style mini-batch sampler (Spark + numpy stats)."""
+"""Tests for the DistDGL-style mini-batch sampler (numpy CSR kernel + stats).
+
+Spark is the sampler's oracle: its hash is checked against ``F.xxhash64``
+and its epochs against the Spark window plan it replaced.
+"""
 import dataclasses
+from functools import reduce
 
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import DataFrame, Window
+from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro.graphs.datasets import generate, n_vertices_of, split_vertices
-from repro.graphs.generators import symmetrized, to_spark, undirected_view
+from repro.graphs.generators import csr_adjacency, symmetrized, to_spark, undirected_view
+from repro.gnn import sampling
 from repro.gnn.layers import layer_flops
 from repro.gnn.sampling import (
     FANOUTS,
@@ -24,15 +33,14 @@ from repro.simulate.distgnn import GNNConfig
 
 
 @pytest.fixture(scope="module")
-def setup(spark):
+def setup():
     edges = undirected_view(generate("EN", scale=1e-4, seed=0))
     n = n_vertices_of(edges)
     split = split_vertices(n, seed=7)
     train = split.loc[split["role"] == "train", "vertex"].to_numpy()
     run = run_partitioner(MetisLikePartitioner(), edges, 4, n_vertices=n)
     owner = run.assignment.set_index("vertex")["part"].sort_index().to_numpy()
-    sym = to_spark(spark, symmetrized(edges))
-    return edges, n, train, owner, sym
+    return edges, n, train, owner, csr_adjacency(edges, n)
 
 
 class TestPlanBatches:
@@ -68,12 +76,10 @@ class TestPlanBatches:
 
 class TestSampleEpoch:
     @pytest.fixture(scope="class")
-    def stats(self, spark, setup) -> EpochSamplingStats:
-        _, _, train, owner, sym = setup
+    def stats(self, setup) -> EpochSamplingStats:
+        _, _, train, owner, csr = setup
         seeds = plan_batches(train, owner, 4, 64, seed=0)
-        return sample_epoch(
-            spark, sym, seeds, owner, FANOUTS[3], seed=0, global_batch=64
-        )
+        return sample_epoch(*csr, seeds, owner, FANOUTS[3], seed=0, global_batch=64)
 
     def test_fanout_cap_respected(self, stats):
         per_src = stats.sampled.groupby(["worker", "step", "layer", "src"]).size()
@@ -108,52 +114,52 @@ class TestSampleEpoch:
 
 
 class TestSamplingSemantics:
-    def test_single_partition_has_no_remote(self, spark, setup):
-        edges, n, train, _, sym = setup
+    def test_single_partition_has_no_remote(self, setup):
+        edges, n, train, _, csr = setup
         owner = np.zeros(n, dtype=np.int64)
         seeds = plan_batches(train, owner, 1, 64, seed=0)
-        st = sample_epoch(spark, sym, seeds, owner, FANOUTS[2], seed=0)
+        st = sample_epoch(*csr, seeds, owner, FANOUTS[2], seed=0)
         assert st.epoch_total("remote_inputs") == 0
         assert st.epoch_total("remote_accesses") == 0
 
-    def test_worse_partitioning_means_more_remote(self, spark, setup):
-        edges, n, train, owner_metis, sym = setup
+    def test_worse_partitioning_means_more_remote(self, setup):
+        edges, n, train, owner_metis, csr = setup
         rnd = run_partitioner(RandomVertexPartitioner(), edges, 4, n_vertices=n)
         owner_rnd = rnd.assignment.set_index("vertex")["part"].sort_index().to_numpy()
         seeds_m = plan_batches(train, owner_metis, 4, 64, seed=0)
         seeds_r = plan_batches(train, owner_rnd, 4, 64, seed=0)
-        st_m = sample_epoch(spark, sym, seeds_m, owner_metis, FANOUTS[2], seed=0)
-        st_r = sample_epoch(spark, sym, seeds_r, owner_rnd, FANOUTS[2], seed=0)
+        st_m = sample_epoch(*csr, seeds_m, owner_metis, FANOUTS[2], seed=0)
+        st_r = sample_epoch(*csr, seeds_r, owner_rnd, FANOUTS[2], seed=0)
         frac_m = st_m.epoch_total("remote_inputs") / st_m.epoch_total("input_vertices")
         frac_r = st_r.epoch_total("remote_inputs") / st_r.epoch_total("input_vertices")
         assert frac_m < frac_r
 
-    def test_more_layers_sample_more(self, spark, setup):
-        _, _, train, owner, sym = setup
+    def test_more_layers_sample_more(self, setup):
+        _, _, train, owner, csr = setup
         seeds = plan_batches(train, owner, 4, 64, seed=0)
-        st2 = sample_epoch(spark, sym, seeds, owner, FANOUTS[2], seed=0)
-        st4 = sample_epoch(spark, sym, seeds, owner, FANOUTS[4], seed=0)
+        st2 = sample_epoch(*csr, seeds, owner, FANOUTS[2], seed=0)
+        st4 = sample_epoch(*csr, seeds, owner, FANOUTS[4], seed=0)
         assert st4.epoch_total("sampled_edges") > st2.epoch_total("sampled_edges")
         assert st4.epoch_total("input_vertices") > st2.epoch_total("input_vertices")
 
-    def test_deterministic_in_seed(self, spark, setup):
-        _, _, train, owner, sym = setup
+    def test_deterministic_in_seed(self, setup):
+        _, _, train, owner, csr = setup
         seeds = plan_batches(train, owner, 4, 64, seed=0)
-        a = sample_epoch(spark, sym, seeds, owner, FANOUTS[2], seed=5)
-        b = sample_epoch(spark, sym, seeds, owner, FANOUTS[2], seed=5)
+        a = sample_epoch(*csr, seeds, owner, FANOUTS[2], seed=5)
+        b = sample_epoch(*csr, seeds, owner, FANOUTS[2], seed=5)
         pd.testing.assert_frame_equal(
             a.per_step.sort_values(["worker", "step"]).reset_index(drop=True),
             b.per_step.sort_values(["worker", "step"]).reset_index(drop=True),
         )
 
-    def test_larger_batch_fewer_remote_per_seed(self, spark, setup):
+    def test_larger_batch_fewer_remote_per_seed(self, setup):
         # Paper Sec 5.4: bigger batches overlap more, so remote vertices
         # *per seed* drop.
-        _, _, train, owner, sym = setup
+        _, _, train, owner, csr = setup
         small = plan_batches(train, owner, 4, 32, seed=0)
         large = plan_batches(train, owner, 4, 256, seed=0)
-        st_s = sample_epoch(spark, sym, small, owner, FANOUTS[3], seed=0)
-        st_l = sample_epoch(spark, sym, large, owner, FANOUTS[3], seed=0)
+        st_s = sample_epoch(*csr, small, owner, FANOUTS[3], seed=0)
+        st_l = sample_epoch(*csr, large, owner, FANOUTS[3], seed=0)
         per_seed_s = st_s.epoch_total("remote_inputs") / len(small)
         per_seed_l = st_l.epoch_total("remote_inputs") / len(large)
         assert per_seed_l < per_seed_s
@@ -181,69 +187,188 @@ def _sorted_rows(sampled: pd.DataFrame) -> pd.DataFrame:
     return sampled[cols].sort_values(cols).reset_index(drop=True)
 
 
-def _persistent_rdds(spark) -> int:
-    return spark.sparkContext._jsc.getPersistentRDDs().size()
-
-
 class TestConsistentComputationGraph:
-    """One computation graph per (worker, step), whatever the physical plan."""
+    """One computation graph per (worker, step), whatever the row order."""
 
     @pytest.fixture(scope="class")
     def seeds(self, setup):
         _, _, train, owner, _ = setup
         return plan_batches(train, owner, 4, 64, seed=0)
 
-    def test_per_step_independent_of_shuffle_partitions(self, spark, setup, seeds):
-        _, _, _, owner, sym = setup
-        key = "spark.sql.shuffle.partitions"
-        old = spark.conf.get(key)
-        per_step = {}
-        try:
-            for n in ("16", "64"):
-                spark.conf.set(key, n)
-                per_step[n] = sample_epoch(
-                    spark, sym, seeds, owner, FANOUTS[3], seed=0, global_batch=64
-                ).per_step
-        finally:
-            spark.conf.set(key, old)
-        pd.testing.assert_frame_equal(per_step["16"], per_step["64"])
+    def test_per_step_independent_of_seed_order(self, setup, seeds):
+        _, _, _, owner, csr = setup
+        shuffled = seeds.sample(frac=1.0, random_state=0).reset_index(drop=True)
+        assert not shuffled.equals(seeds)
+        a = sample_epoch(*csr, seeds, owner, FANOUTS[3], seed=0, global_batch=64)
+        b = sample_epoch(*csr, shuffled, owner, FANOUTS[3], seed=0, global_batch=64)
+        pd.testing.assert_frame_equal(a.per_step, b.per_step)
 
     @pytest.mark.parametrize("n_layers", [3, 4])
-    def test_no_orphan_sources(self, spark, setup, seeds, n_layers):
-        _, _, _, owner, sym = setup
-        st = sample_epoch(spark, sym, seeds, owner, FANOUTS[n_layers], seed=0)
+    def test_no_orphan_sources(self, setup, seeds, n_layers):
+        _, _, _, owner, csr = setup
+        st = sample_epoch(*csr, seeds, owner, FANOUTS[n_layers], seed=0)
         assert set(st.sampled["layer"]) == set(range(n_layers))
         assert _orphan_rows(seeds, st.sampled) == 0
 
-    def test_same_epoch_collects_same_rows(self, spark, setup, seeds):
-        _, _, _, owner, sym = setup
-        a = sample_epoch(spark, sym, seeds, owner, FANOUTS[3], seed=2)
-        b = sample_epoch(spark, sym, seeds, owner, FANOUTS[3], seed=2)
+    def test_same_epoch_collects_same_rows(self, setup, seeds):
+        _, _, _, owner, csr = setup
+        a = sample_epoch(*csr, seeds, owner, FANOUTS[3], seed=2)
+        b = sample_epoch(*csr, seeds, owner, FANOUTS[3], seed=2)
         pd.testing.assert_frame_equal(_sorted_rows(a.sampled), _sorted_rows(b.sampled))
 
-    def test_seed_changes_sample(self, spark, setup, seeds):
-        _, _, _, owner, sym = setup
-        a = sample_epoch(spark, sym, seeds, owner, FANOUTS[2], seed=0)
-        b = sample_epoch(spark, sym, seeds, owner, FANOUTS[2], seed=1)
+    def test_seed_changes_sample(self, setup, seeds):
+        _, _, _, owner, csr = setup
+        a = sample_epoch(*csr, seeds, owner, FANOUTS[2], seed=0)
+        b = sample_epoch(*csr, seeds, owner, FANOUTS[2], seed=1)
         assert not _sorted_rows(a.sampled).equals(_sorted_rows(b.sampled))
 
-    def test_releases_persisted_blocks(self, spark, setup, seeds):
-        _, _, _, owner, sym = setup
-        before = _persistent_rdds(spark)
-        sample_epoch(spark, sym, seeds, owner, FANOUTS[3], seed=0)
-        assert _persistent_rdds(spark) == before
 
-    def test_releases_persisted_blocks_on_error(self, spark, setup, seeds, monkeypatch):
-        _, _, _, owner, sym = setup
-        before = _persistent_rdds(spark)
+# --- Spark as the oracle ------------------------------------------------------
 
-        def fail(self):
-            raise RuntimeError("collect failed")
+LONG_COLUMNS = ("worker", "step", "src", "dst")
+SEED_SCHEMA = T.StructType(
+    [T.StructField(c, T.LongType(), False) for c in ("worker", "step", "vertex")]
+)
 
-        monkeypatch.setattr(type(sym), "toPandas", fail)
-        with pytest.raises(RuntimeError, match="collect failed"):
-            sample_epoch(spark, sym, seeds, owner, FANOUTS[3], seed=0)
-        assert _persistent_rdds(spark) == before
+
+def _spark_window_plan(spark, edges, seeds, fanouts, seed) -> pd.DataFrame:
+    """The Spark sampler the numpy kernel replaced, as a reference.
+
+    Per hop: join the frontier with the symmetrized adjacency, keep
+    ``fanout`` rows per (worker, step, src) by ``row_number`` over
+    ``xxhash64(seed, layer, worker, step, src, dst)`` then ``dst``, and grow
+    the frontier with the sampled destinations. Each hop is checkpointed
+    once, and the blocks are released before returning.
+    """
+    checkpoints = []
+
+    def checkpoint(df: DataFrame) -> DataFrame:
+        checkpoints.append(df.localCheckpoint())
+        return checkpoints[-1]
+
+    try:
+        adjacency = checkpoint(to_spark(spark, symmetrized(edges)).repartition("src"))
+        frontier = spark.createDataFrame(seeds[["worker", "step", "vertex"]], schema=SEED_SCHEMA)
+        layers = []
+        for lidx, fan in enumerate(fanouts):
+            cand = frontier.withColumnRenamed("vertex", "src").join(adjacency, "src")
+            w = Window.partitionBy("worker", "step", "src").orderBy(
+                F.xxhash64(F.lit(seed), F.lit(lidx), "worker", "step", "src", "dst"),
+                "dst",
+            )
+            samp = checkpoint(
+                cand.withColumn("rn", F.row_number().over(w))
+                .where(F.col("rn") <= fan)
+                .select("worker", "step", "src", "dst", F.lit(lidx).alias("layer"))
+            )
+            layers.append(samp)
+            if lidx + 1 < len(fanouts):
+                frontier = checkpoint(
+                    frontier.unionAll(
+                        samp.select("worker", "step", F.col("dst").alias("vertex"))
+                    ).distinct()
+                )
+        return reduce(DataFrame.unionAll, layers).toPandas()
+    finally:
+        for df in checkpoints:
+            df._jdf.queryExecution().logical().rdd().unpersist(True)
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2**31])
+def test_xxhash64_matches_spark(spark, seed):
+    rng = np.random.default_rng(seed % 97)
+    extremes = np.array(
+        [0, 1, -1, 2**31 - 1, -(2**31), 2**31, 2**63 - 1, 2**63 - 2, -(2**63), -(2**63) + 1],
+        dtype=np.int64,
+    )
+    n = 64 + len(extremes) * len(LONG_COLUMNS)
+    rows = pd.DataFrame(
+        {c: rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64, endpoint=True)
+         for c in LONG_COLUMNS}
+    )
+    for i, c in enumerate(LONG_COLUMNS):
+        # Each extreme value in each column, the other columns random.
+        at = 64 + i * len(extremes)
+        rows.loc[at:at + len(extremes) - 1, c] = extremes
+    sdf = spark.createDataFrame(
+        rows, schema=T.StructType([T.StructField(c, T.LongType(), False) for c in LONG_COLUMNS])
+    )
+    for layer in (0, 3):
+        got = sdf.select(
+            F.xxhash64(F.lit(seed), F.lit(layer), *LONG_COLUMNS).alias("h")
+        ).toPandas()["h"].to_numpy()
+        # The two steps the sampler takes: fold (seed, layer, worker, step,
+        # src) per frontier row, then one hashLong of each candidate dst.
+        state = sampling._fold_rows(seed, layer, *(rows[c].to_numpy() for c in LONG_COLUMNS[:3]))
+        want = sampling._hash_long(sampling._u64(rows["dst"]), state).view(np.int64)
+        np.testing.assert_array_equal(want, got)
+
+
+def test_order_in_rows_breaks_top_bit_ties_by_full_hash():
+    # 6 and 5 share every bit the packed key keeps; the two 7s tie outright
+    # and stay in input (dst) order.
+    r = np.array([0, 0, 0, 1, 1])
+    h = np.array([6, 5, -(2**63), 7, 7])
+    np.testing.assert_array_equal(sampling._order_in_rows(r, h), [2, 1, 0, 3, 4])
+
+
+class TestMatchesSparkWindowPlan:
+    """The numpy kernel samples exactly what the Spark window plan samples."""
+
+    @pytest.fixture(scope="class")
+    def owners(self, setup):
+        edges, n, _, metis, _ = setup
+        rnd = run_partitioner(RandomVertexPartitioner(), edges, 4, n_vertices=n)
+        return {
+            "Random": rnd.assignment.set_index("vertex")["part"].sort_index().to_numpy(),
+            "Metis": metis,
+        }
+
+    @pytest.fixture(scope="class")
+    def oracle(self, spark, setup, owners):
+        edges, _, train, _, _ = setup
+        cache = {}
+
+        def run(owner_name, n_layers):
+            if (owner_name, n_layers) not in cache:
+                owner = owners[owner_name]
+                seeds = plan_batches(train, owner, 4, 64, seed=3)
+                sampled = _spark_window_plan(spark, edges, seeds, FANOUTS[n_layers], 3)
+                cache[owner_name, n_layers] = (seeds, owner, sampled)
+            return cache[owner_name, n_layers]
+
+        return run
+
+    def check(self, setup, seeds, owner, sampled, n_layers):
+        csr = setup[4]
+        got = sample_epoch(*csr, seeds, owner, FANOUTS[n_layers], seed=3, global_batch=64)
+        want = _stats_from_sampled(seeds, sampled, owner, n_layers, 4, 64)
+        pd.testing.assert_frame_equal(_sorted_rows(got.sampled), _sorted_rows(sampled))
+        pd.testing.assert_frame_equal(got.per_step, want.per_step)
+        np.testing.assert_array_equal(got.hop_edges, want.hop_edges)
+
+    @pytest.mark.parametrize("owner_name", ["Random", "Metis"])
+    @pytest.mark.parametrize("n_layers", [2, 3, 4])
+    def test_same_epoch(self, setup, oracle, owner_name, n_layers):
+        self.check(setup, *oracle(owner_name, n_layers), n_layers)
+
+    def test_same_epoch_through_fallback_and_chunks(self, setup, oracle, monkeypatch):
+        # One expected survivor per fanout slot leaves about half the ranked
+        # rows short, and 256-candidate chunks split hops (and hubs) apart.
+        filled = []
+        fallback = sampling._fallback
+
+        def counted(keep, row, n_rows, fan):
+            out = fallback(keep, row, n_rows, fan)
+            filled.append(int((out & ~keep).sum()))
+            return out
+
+        monkeypatch.setattr(sampling, "OVERSAMPLE", 1)
+        monkeypatch.setattr(sampling, "CHUNK", 256)
+        monkeypatch.setattr(sampling, "_fallback", counted)
+        self.check(setup, *oracle("Metis", 3), 3)
+        assert sum(filled) > 0
+        assert len(filled) > 3
 
 
 def _per_step_reference(seeds, sampled, owner_of, n_layers):
@@ -331,10 +456,10 @@ def _phase_times_reference(stats, cfg, cluster, fanouts):
 
 class TestVectorisedReductions:
     @pytest.fixture(scope="class")
-    def epoch(self, spark, setup):
-        _, _, train, owner, sym = setup
+    def epoch(self, setup):
+        _, _, train, owner, csr = setup
         seeds = plan_batches(train, owner, 4, 64, seed=0)
-        st = sample_epoch(spark, sym, seeds, owner, FANOUTS[3], seed=0, global_batch=64)
+        st = sample_epoch(*csr, seeds, owner, FANOUTS[3], seed=0, global_batch=64)
         return seeds, owner, st
 
     @pytest.fixture(scope="class", params=["all", "one_step_without_edges"])

@@ -2,7 +2,7 @@
 import pytest
 
 from repro.graphs.datasets import generate, n_vertices_of, split_vertices
-from repro.graphs.generators import symmetrized, to_spark, undirected_view
+from repro.graphs.generators import csr_adjacency, undirected_view
 from repro.gnn.sampling import FANOUTS, plan_batches, sample_epoch
 from repro.partitioning.base import run_partitioner
 from repro.partitioning.edge.hep import hep100
@@ -115,7 +115,7 @@ class TestDistGNNEpochMetrics:
 
 class TestDistDGLPhases:
     @pytest.fixture(scope="class")
-    def sampled(self, spark):
+    def sampled(self):
         edges = undirected_view(generate("EN", scale=SCALE, seed=0))
         n = n_vertices_of(edges)
         split = split_vertices(n, seed=7)
@@ -126,8 +126,7 @@ class TestDistDGLPhases:
         owner = run.assignment.set_index("vertex")["part"].sort_index().to_numpy()
         seeds = plan_batches(train, owner, 4, 64, seed=0)
         return sample_epoch(
-            spark, to_spark(spark, symmetrized(edges)), seeds, owner,
-            FANOUTS[3], seed=0, global_batch=64,
+            *csr_adjacency(edges, n), seeds, owner, FANOUTS[3], seed=0, global_batch=64
         )
 
     def cfg(self, **kw):
