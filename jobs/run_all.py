@@ -16,8 +16,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _common import make_session, save_and_print
 
-import fig12_edge_cut
-import fig26_batch_size
 import graph_stats
 import table4_distgnn_amortization
 import table5_distdgl_amortization
@@ -25,9 +23,7 @@ import table5_distdgl_amortization
 JOBS = [
     ("graph_stats", graph_stats),
     ("table4_distgnn", table4_distgnn_amortization),
-    ("fig12_edge_cut", fig12_edge_cut),
     ("table5_distdgl", table5_distdgl_amortization),
-    ("fig26_batch_size", fig26_batch_size),
 ]
 
 

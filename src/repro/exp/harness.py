@@ -7,7 +7,8 @@ Two suites mirror the paper's two tracks:
 * :func:`run_distdgl_suite` — vertex partitioners (edge-cut), mini-batch
   GraphSage/GCN/GAT; every row is fed by a really-executed sampling epoch
   on the partitioned graph (on the driver, over a CSR adjacency built once
-  per graph) and by the partition run's Spark SQL edge-cut.
+  per graph) and by the partition run's Spark SQL quality query: edge-cut,
+  vertex balance and training-vertex balance (Figs 12/13).
 
 Each suite runs every partitioner once per (graph, k), and the DistDGL
 suite samples one epoch per (batch size, layer count) on that run; every
@@ -173,8 +174,10 @@ def run_distdgl_suite(
 
     ``global_batch`` is one size or a tuple of sizes. Each partitioner runs
     once per (graph, k), and that one run serves every batch size: one
-    sampling epoch per (batch size, layer count) runs on it. Its edge-cut
-    is the Spark SQL metric of Fig 12 (:func:`quality.edge_cut_quality`).
+    sampling epoch per (batch size, layer count) runs on it. One Spark SQL
+    query per run (:func:`quality.edge_cut_quality`, over the graph's edges
+    and its train/val/test split) gives the ``edge_cut``, ``vertex_balance``
+    and ``train_vertex_balance`` columns of Figs 12/13.
     Every (feature, hidden, kind) row of that epoch reads the same sample:
     these knobs change only the flop and byte counts, not the sampled graph.
     """
@@ -183,7 +186,7 @@ def run_distdgl_suite(
     for gname in graphs:
         b = load_bundle(gname, scale=scale, seed=seed)
         indptr, indices = csr_adjacency(b.edges, b.n_vertices)
-        edges_sdf = to_spark(spark, b.edges)
+        edges_sdf, split_sdf = to_spark(spark, b.edges), spark.createDataFrame(b.split)
         for k in ks:
             for pname in partitioners:
                 run = run_partitioner(
@@ -191,9 +194,9 @@ def run_distdgl_suite(
                     n_vertices=b.n_vertices, seed=seed, split=b.split,
                 )
                 owner = run.assignment["part"].to_numpy()
-                cut = quality.edge_cut_quality(
-                    edges_sdf, assignment_to_spark(spark, run), k
-                ).edge_cut_ratio
+                q = quality.edge_cut_quality(
+                    edges_sdf, assignment_to_spark(spark, run), k, split=split_sdf
+                )
                 for gbs in np.atleast_1d(global_batch).tolist():
                     seeds = plan_batches(b.train, owner, k, gbs, seed=seed)
                     for L in layer_counts:
@@ -221,7 +224,9 @@ def run_distdgl_suite(
                                     "t_forward": ph.forward,
                                     "t_backward": ph.backward,
                                     "network_bytes": distdgl.network_bytes(stats, cfg),
-                                    "edge_cut": cut,
+                                    "edge_cut": q.edge_cut_ratio,
+                                    "vertex_balance": q.vertex_balance,
+                                    "train_vertex_balance": q.train_vertex_balance,
                                     "remote_inputs": stats.epoch_total("remote_inputs"),
                                     "input_vertices": stats.epoch_total("input_vertices"),
                                     "input_vertex_balance": stats.input_vertex_balance(),

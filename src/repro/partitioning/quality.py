@@ -28,10 +28,10 @@ class EdgeCutQuality:
     n_edges: int
     edge_cut_ratio: float
     vertex_balance: float
-    train_vertex_balance: float | None
+    train_vertex_balance: float
     vertices_per_part: list[int]
     cut_edges: int
-    train_per_part: list[int] | None = None
+    train_per_part: list[int]
 
 
 def _balance(per_part: list[int], k: int) -> float:
@@ -39,21 +39,22 @@ def _balance(per_part: list[int], k: int) -> float:
     return max(per_part) / mean if mean else float("nan")
 
 
-def _split_totals(rows, k: int, cols: tuple[str, ...]):
-    """``{col: [value per part 0..k-1]}`` and the totals row of a query's rows."""
+def _split_totals(rows, k: int):
+    """``n_vertices`` and ``n_train`` per part 0..k-1, and the totals row of a query's rows."""
     parts = {int(r["part"]): r for r in rows if r["part"] is not None}
     total = next((r for r in rows if r["part"] is None), None)
-    per_part = {c: [int(parts[p][c]) if p in parts else 0 for p in range(k)] for c in cols}
-    return per_part, total
+
+    def per_part(col: str) -> list[int]:
+        return [int(parts[p][col]) if p in parts else 0 for p in range(k)]
+
+    return per_part("n_vertices"), per_part("n_train"), total
 
 
-def edge_cut_query(
-    edges: DataFrame, assign: DataFrame, *, split: DataFrame | None = None
-) -> DataFrame:
+def edge_cut_query(edges: DataFrame, assign: DataFrame, *, split: DataFrame) -> DataFrame:
     """Rows of a vertex assignment (vertex, part) over the undirected ``edges``.
 
-    One row per part with ``n_vertices`` (and ``n_train``, its training
-    vertices, when ``split`` is given), plus a totals row with ``part`` NULL,
+    One row per part with ``n_vertices`` and ``n_train`` (its vertices with
+    role "train" in ``split``), plus a totals row with ``part`` NULL,
     ``n_edges``, ``cut_edges`` and ``unassigned_edges`` (edges with an
     endpoint that has no assignment row). Each row leaves the other kind's
     columns NULL: the edge rows carry no ``part``, so the union gives them a
@@ -73,12 +74,12 @@ def edge_cut_query(
             (src_part.isNull() | dst_part.isNull()).cast("int").alias("unassigned_edges"),
         )
     )
-    rows = assign.select("part", F.lit(1).alias("n_vertices"))
-    if split is not None:
-        train = split.where(F.col("role") == "train").join(part_of, "vertex")
-        rows = rows.withColumn("n_train", F.lit(0)).unionByName(
-            train.select("part", F.lit(0).alias("n_vertices"), F.lit(1).alias("n_train"))
-        )
+    train = split.where(F.col("role") == "train").join(part_of, "vertex")
+    rows = assign.select(
+        "part", F.lit(1).alias("n_vertices"), F.lit(0).alias("n_train")
+    ).unionByName(
+        train.select("part", F.lit(0).alias("n_vertices"), F.lit(1).alias("n_train"))
+    )
     # One partition satisfies the aggregate's distribution, so it needs no
     # shuffle: the query is one broadcast job plus one single-task job. Its
     # input is one row per edge and vertex of a graph the driver already
@@ -90,22 +91,17 @@ def edge_cut_query(
 
 
 def edge_cut_quality(
-    edges: DataFrame,
-    assign: DataFrame,
-    k: int,
-    *,
-    split: DataFrame | None = None,
+    edges: DataFrame, assign: DataFrame, k: int, *, split: DataFrame
 ) -> EdgeCutQuality:
     """Quality of a vertex-partitioning run.
 
     ``edges`` is the undirected view; ``assign`` has (vertex, part);
-    ``split`` optionally has (vertex, role) to compute the training-vertex
-    balance the paper measures for DistDGL. Raises ``ValueError`` when an
-    edge endpoint has no assignment row.
+    ``split`` has (vertex, role), for the training-vertex balance the paper
+    measures for DistDGL. Raises ``ValueError`` when an edge endpoint has
+    no assignment row.
     """
-    cols = ("n_vertices", "n_train") if split is not None else ("n_vertices",)
-    per_part, total = _split_totals(
-        edge_cut_query(edges, assign, split=split).collect(), k, cols
+    vertices_per_part, train_per_part, total = _split_totals(
+        edge_cut_query(edges, assign, split=split).collect(), k
     )
     n_edges = int(total["n_edges"]) if total else 0
     cut = int(total["cut_edges"] or 0) if total else 0
@@ -114,15 +110,13 @@ def edge_cut_quality(
         raise ValueError(
             f"{unassigned} of {n_edges} edges have an endpoint without an assignment row"
         )
-    vertices_per_part = per_part["n_vertices"]
-    train_per_part = per_part.get("n_train")
     return EdgeCutQuality(
         k=k,
         n_vertices=sum(vertices_per_part),
         n_edges=n_edges,
         edge_cut_ratio=cut / n_edges if n_edges else float("nan"),
         vertex_balance=_balance(vertices_per_part, k),
-        train_vertex_balance=None if train_per_part is None else _balance(train_per_part, k),
+        train_vertex_balance=_balance(train_per_part, k),
         vertices_per_part=vertices_per_part,
         cut_edges=cut,
         train_per_part=train_per_part,

@@ -29,7 +29,8 @@ GNN_COLUMNS = [
 DGL_COLUMNS = [
     "graph", "partitioner", "k", "kind", "global_batch", "feature", "hidden",
     "layers", "epoch_seconds", "t_sampling", "t_fetch", "t_forward", "t_backward",
-    "network_bytes", "edge_cut", "remote_inputs", "input_vertices",
+    "network_bytes", "edge_cut", "vertex_balance", "train_vertex_balance",
+    "remote_inputs", "input_vertices",
     "input_vertex_balance", "partition_seconds", "partition_seconds_norm",
     "epoch_seconds_random", "network_bytes_random", "remote_inputs_random",
     "edge_cut_random", "speedup", "net_pct_of_random", "remote_pct_of_random",
@@ -111,10 +112,15 @@ class TestDistDGLSuite:
         assert sorted(dgl_suite.columns) == sorted(DGL_COLUMNS)
 
     def test_edge_cut_matches_spark_sql_metric(self, dgl_suite):
-        # The suite's edge-cut is the Spark SQL metric of Fig 12; a pandas
-        # recount on the same partition run must give the same ratio.
+        # The suite's edge-cut and balances are the Spark SQL metrics of
+        # Figs 12/13; a pandas recount on the same partition run must give
+        # the same values.
         b = load_bundle("EN", scale=SCALE, seed=0)
         src, dst = b.edges["src"].to_numpy(), b.edges["dst"].to_numpy()
+
+        def balance(per_part):
+            return per_part.max() / (per_part.sum() / 4)
+
         for p, grp in dgl_suite.groupby("partitioner"):
             run = run_partitioner(
                 make_vertex_partitioner(p), b.edges, 4,
@@ -122,6 +128,10 @@ class TestDistDGLSuite:
             )
             owner = run.assignment.set_index("vertex")["part"].sort_index().to_numpy()
             assert (grp["edge_cut"] == (owner[src] != owner[dst]).mean()).all(), p
+            vb = balance(np.bincount(owner, minlength=4))
+            tvb = balance(np.bincount(owner[b.train], minlength=4))
+            assert (grp["vertex_balance"] == vb).all(), p
+            assert (grp["train_vertex_balance"] == tvb).all(), p
 
     def test_random_speedup_one(self, dgl_suite):
         rnd = dgl_suite[dgl_suite["partitioner"] == "Random"]

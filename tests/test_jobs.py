@@ -1,6 +1,7 @@
 """Smoke tests: every job entrypoint runs end to end at test scale."""
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pandas as pd
@@ -9,11 +10,12 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "jobs"))
 
 import _common
-import fig12_edge_cut
 import graph_stats
 import table4_distgnn_amortization
 import table5_distdgl_amortization
+from repro.exp import harness
 from repro.exp.harness import run_distdgl_suite, run_distgnn_suite
+from repro.partitioning.base import run_partitioner
 from repro.simulate.distgnn import GNNConfig
 
 SCALE = 1e-4
@@ -64,26 +66,56 @@ class TestFig2Job:
 
 
 class TestFig12Job:
+    """Figs 12/13/15, selected by the Table 5 job from its suite rows."""
+
     @pytest.fixture(scope="class")
     def out(self, spark):
-        return fig12_edge_cut.run(spark, scale=SCALE, ks=(4,))
+        suite = run_distdgl_suite(
+            spark, ks=(4,), **table5_distdgl_amortization.FIG_CONFIG, scale=SCALE
+        )
+        return table5_distdgl_amortization.fig12_tables(suite)
 
     def test_all_partitioners_covered(self, out):
-        q = out["quality"]
+        q = out["fig12_quality"]
         assert set(q["partitioner"]) == {
             "Random", "LDG", "Spinner", "Metis", "ByteGNN", "KaHIP"
         }
 
     def test_random_has_worst_cut(self, out):
-        q = out["quality"]
+        q = out["fig12_quality"]
         for g, sub in q.groupby("graph"):
             rnd = sub.loc[sub["partitioner"] == "Random", "edge_cut"].iloc[0]
             assert rnd >= sub["edge_cut"].max() - 0.02, g
 
     def test_road_graph_has_lowest_multilevel_cut(self, out):
-        q = out["quality"]
+        q = out["fig12_quality"]
         kahip = q[q["partitioner"] == "KaHIP"].set_index("graph")["edge_cut"]
         assert kahip["DI"] == kahip.min()
+
+
+@pytest.fixture(scope="module")
+def job(spark):
+    """The Table 5 job's four suite calls, cut down to EU/OR, Random+Metis, h=64, L=3.
+
+    Also counts the partition runs per (n_vertices, partitioner, k).
+    """
+    job = table5_distdgl_amortization
+    calls = Counter()
+
+    def counted(p, edges, k, **kwargs):
+        calls[kwargs["n_vertices"], p.name, k] += 1
+        return run_partitioner(p, edges, k, **kwargs)
+
+    def small_suite(spark, *, graphs=("HW", "DI", "EN", "EU", "OR"), **kwargs):
+        kwargs.update(partitioners=("Random", "Metis"), hiddens=(64,), layer_counts=(3,))
+        graphs = tuple(g for g in graphs if g in ("EU", "OR"))
+        return run_distdgl_suite(spark, graphs=graphs, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(job, "run_distdgl_suite", small_suite)
+        mp.setattr(harness, "run_partitioner", counted)
+        out = job.run(spark, scale=SCALE)
+    return out, calls
 
 
 class TestTable5Job:
@@ -114,40 +146,25 @@ class TestTable5Job:
             "ByteGNN", "KaHIP", "LDG", "Spinner", "Metis"
         ]
 
+    def test_each_cell_partitioned_once(self, job):
+        _, calls = job
+        # 2 graphs x 2 partitioners x k in {4, 8, 16, 32}, no cell twice.
+        assert len(calls) == 16
+        assert set(calls.values()) == {1}
+
 
 class TestFig24Tables:
     """Fig 24 from the Table 5 job: its k=8 points are Table 5 suite rows."""
 
-    @pytest.fixture(scope="class")
-    def job(self, spark):
-        # The job's two suite calls, cut down to EU, Random+Metis, h=64, L=3.
-        job = table5_distdgl_amortization
-        suites = []
-
-        def small_suite(spark, **kwargs):
-            kwargs.update(
-                graphs=("EU",), partitioners=("Random", "Metis"), hiddens=(64,),
-                layer_counts=(3,),
-            )
-            suites.append(run_distdgl_suite(spark, **kwargs))
-            return suites[-1]
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(job, "run_distdgl_suite", small_suite)
-            out = job.run(spark, scale=SCALE)
-        return out, suites
-
     def test_k_columns_in_order(self, job):
-        _, (t5, scaleout) = job
-        for name, df in table5_distdgl_amortization.fig24_tables(t5, scaleout).items():
-            if name != "fig24_suite":
-                assert list(df.columns) == ["graph", "partitioner", 4, 8, 16, 32]
+        out, _ = job
+        for name in ("fig24a_speedup", "fig24b_remote_pct", "fig24c_cut_pct"):
+            assert list(out[name].columns) == ["graph", "partitioner", 4, 8, 16, 32]
 
     def test_k8_column_is_table5_speedup(self, job):
-        _, (t5, scaleout) = job
-        sp = table5_distdgl_amortization.fig24_tables(t5, scaleout)["fig24a_speedup"]
-        rows = t5.query("partitioner != 'Random' and feature == 512 and layers == 3")
-        assert list(sp[8]) == list(rows["speedup"].round(3))
+        out, _ = job
+        rows = out["suite"].query("partitioner != 'Random' and feature == 512 and layers == 3")
+        assert list(out["fig24a_speedup"][8]) == list(rows["speedup"].round(3))
 
     def test_k8_rows_are_the_table5_suite_rows(self, job):
         out, _ = job
@@ -158,6 +175,28 @@ class TestFig24Tables:
             .reset_index(drop=True),
         )
         assert sorted(fig24["k"].unique()) == [4, 8, 16, 32]
+
+    def test_or_k16_rows_are_the_fig26_rows(self, job):
+        out, _ = job
+        fig24 = out["fig24_suite"]
+        assert not fig24.duplicated(["graph", "partitioner", "k"]).any()
+        pd.testing.assert_frame_equal(
+            fig24.query("graph == 'OR' and k == 16").reset_index(drop=True),
+            out["fig26_suite"].query("kind == 'sage' and feature == 512 and global_batch == 64")
+            .reset_index(drop=True),
+        )
+
+
+class TestFig26Tables:
+    def test_pivots_kinds_over_batch_sizes(self, job):
+        out, _ = job
+        batches = list(table5_distdgl_amortization.BATCHES)
+        for name in ("fig26a_speedup", "fig26b_net_pct", "fig26c_remote_pct"):
+            df = out[name]
+            assert list(df.columns) == ["kind", "partitioner", *batches]
+            assert list(zip(df["kind"], df["partitioner"])) == [
+                ("gat", "Metis"), ("sage", "Metis")
+            ]
 
 
 class TestSaveAndPrint:

@@ -117,13 +117,16 @@ class TestEdgeCutQuality:
         unassigned = int(((edges["src"] == missing) | (edges["dst"] == missing)).sum())
         assert got.where("part IS NULL").first()["unassigned_edges"] == unassigned > 0
         with pytest.raises(ValueError, match=f"{unassigned} of {len(edges)} edges"):
-            quality.edge_cut_quality(edges_sdf, assign_sdf, 4)
+            quality.edge_cut_quality(
+                edges_sdf, assign_sdf, 4, split=spark.createDataFrame(split)
+            )
 
     def test_edge_cut_quality_matches_pandas(self, spark, graph):
         edges, n = graph
         run = run_partitioner(RandomVertexPartitioner(), edges, 4, n_vertices=n)
         q = quality.edge_cut_quality(
-            to_spark(spark, edges), assignment_to_spark(spark, run), 4
+            to_spark(spark, edges), assignment_to_spark(spark, run), 4,
+            split=split_to_spark(spark, n, seed=7),
         )
         part = run.assignment.set_index("vertex")["part"]
         cut = (part[edges["src"]].to_numpy() != part[edges["dst"]].to_numpy()).sum()
@@ -149,9 +152,11 @@ class TestEdgeCutQuality:
     def test_single_partition_has_zero_cut(self, spark):
         edges = pd.DataFrame({"src": [0, 1, 2], "dst": [1, 2, 3]})
         a = pd.DataFrame({"vertex": [0, 1, 2, 3], "part": [0, 0, 0, 0]})
+        split = pd.DataFrame({"vertex": [0, 1, 2, 3], "role": ["train", "test", "val", "test"]})
         run_like = type("R", (), {"cut_type": "edge-cut", "assignment": a})()
         q = quality.edge_cut_quality(
-            to_spark(spark, edges), assignment_to_spark(spark, run_like), 1
+            to_spark(spark, edges), assignment_to_spark(spark, run_like), 1,
+            split=spark.createDataFrame(split),
         )
         assert q.edge_cut_ratio == 0.0
         assert q.cut_edges == 0
@@ -195,6 +200,5 @@ def test_results_independent_of_physical_settings(spark, graph):
             spark.conf.set(key, value)
     assert {key: spark.conf.get(key) for key in keys} == old
     first = results[16, "-1"]
-    assert first.train_per_part is not None
     for got in results.values():
         assert got == first
