@@ -51,18 +51,11 @@ def fig2_tables(suite: pd.DataFrame) -> dict[str, pd.DataFrame]:
         .rename(columns={"rf": "replication_factor"})[QUALITY_COLUMNS]
         .reset_index(drop=True)
     )
-
-    def by_k(col: str) -> pd.DataFrame:
-        return (
-            quality.pivot_table(index=["graph", "partitioner"], columns="k", values=col)
-            .round(2)
-            .reset_index()
-        )
-
+    index = ["graph", "partitioner"]
     return {
         "fig2_quality": quality,
-        "fig2_rf": by_k("replication_factor"),
-        "fig4_vb": by_k("vertex_balance"),
+        "fig2_rf": tables.pivot(quality, index, "k", "replication_factor", 2),
+        "fig4_vb": tables.pivot(quality, index, "k", "vertex_balance", 2),
     }
 
 
@@ -72,13 +65,10 @@ def run(spark=None, *, scale: float = 1e-3, seed: int = 0) -> dict[str, pd.DataF
     t4 = tables.amortization_table(
         suite[suite["graph"] != "DI"], partitioners=EDGE_ROSTER
     )
-    speedups = tables.mean_speedups(suite).pivot_table(
-        index=["graph", "partitioner"], columns="k", values="mean"
-    ).round(2)
-    mem = (
-        tables.mean_metric_pct(suite, "mem_pct_of_random")
-        .pivot_table(index=["graph", "partitioner"], columns="k", values="mem_pct_of_random")
-        .round(1)
+    index = ["graph", "partitioner"]
+    speedups = tables.pivot(tables.mean_speedups(suite), index, "k", "mean", 2)
+    mem = tables.pivot(
+        tables.mean_metric_pct(suite, "mem_pct_of_random"), index, "k", "mem_pct_of_random", 1
     )
     rf_pct = (
         suite[suite["partitioner"] != "Random"]
@@ -91,8 +81,8 @@ def run(spark=None, *, scale: float = 1e-3, seed: int = 0) -> dict[str, pd.DataF
     return {
         "suite": suite,
         "table4": t4.map(lambda v: float("nan") if v is None else v),
-        "fig7_speedups": speedups.reset_index(),
-        "fig9_mem": mem.reset_index(),
+        "fig7_speedups": speedups,
+        "fig9_mem": mem,
         "fig11_rf_pct": rf_pct.reset_index(),
         "oom": oom.reset_index(),
         **fig2_tables(suite),

@@ -67,14 +67,6 @@ PRINT_KEYS = (
 )
 
 
-def _pivot(rows: pd.DataFrame, index: list[str], columns: str, values: str, digits: int):
-    return (
-        rows.pivot_table(index=index, columns=columns, values=values)
-        .round(digits)
-        .reset_index()
-    )
-
-
 def fig12_tables(suite: pd.DataFrame) -> dict[str, pd.DataFrame]:
     """Figures 12/13/15: vertex-partitioner quality and time.
 
@@ -86,8 +78,8 @@ def fig12_tables(suite: pd.DataFrame) -> dict[str, pd.DataFrame]:
     q = suite.drop_duplicates(["graph", "partitioner", "k"])[FIG12_COLUMNS].reset_index(drop=True)
     return {
         "fig12_quality": q,
-        "fig12_cut": _pivot(q, ["graph", "partitioner"], "k", "edge_cut", 4),
-        "fig15_time": _pivot(q, ["graph", "partitioner"], "k", "partition_seconds_norm", 3),
+        "fig12_cut": tables.pivot(q, ["graph", "partitioner"], "k", "edge_cut", 4),
+        "fig15_time": tables.pivot(q, ["graph", "partitioner"], "k", "partition_seconds_norm", 3),
     }
 
 
@@ -107,9 +99,9 @@ def fig24_tables(*suites: pd.DataFrame) -> dict[str, pd.DataFrame]:
     index = ["graph", "partitioner"]
     return {
         "fig24_suite": suite,
-        "fig24a_speedup": _pivot(sel, index, "k", "speedup", 3),
-        "fig24b_remote_pct": _pivot(sel, index, "k", "remote_pct_of_random", 1),
-        "fig24c_cut_pct": _pivot(sel, index, "k", "cut_pct_of_random", 1),
+        "fig24a_speedup": tables.pivot(sel, index, "k", "speedup", 3),
+        "fig24b_remote_pct": tables.pivot(sel, index, "k", "remote_pct_of_random", 1),
+        "fig24c_cut_pct": tables.pivot(sel, index, "k", "cut_pct_of_random", 1),
     }
 
 
@@ -126,9 +118,9 @@ def fig26_tables(suite: pd.DataFrame) -> dict[str, pd.DataFrame]:
     index = ["kind", "partitioner"]
     return {
         "fig26_suite": suite,
-        "fig26a_speedup": _pivot(sel, index, "global_batch", "speedup", 3),
-        "fig26b_net_pct": _pivot(sel, index, "global_batch", "net_pct_of_random", 1),
-        "fig26c_remote_pct": _pivot(sel, index, "global_batch", "remote_pct_of_random", 1),
+        "fig26a_speedup": tables.pivot(sel, index, "global_batch", "speedup", 3),
+        "fig26b_net_pct": tables.pivot(sel, index, "global_batch", "net_pct_of_random", 1),
+        "fig26c_remote_pct": tables.pivot(sel, index, "global_batch", "remote_pct_of_random", 1),
     }
 
 

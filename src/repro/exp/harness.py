@@ -44,6 +44,9 @@ MACHINES = (4, 8, 16, 32)
 #: magnitude at bench scale while leaving multiple steps per epoch).
 DEFAULT_GLOBAL_BATCH = 64
 
+#: The analytic cluster every suite row is evaluated on.
+CLUSTER = ClusterModel()
+
 
 def hyper_grid() -> list[distgnn.GNNConfig]:
     return [
@@ -82,10 +85,8 @@ def run_distgnn_suite(
     configs: list[distgnn.GNNConfig] | None = None,
     scale: float,
     seed: int = 0,
-    cluster: ClusterModel | None = None,
 ) -> pd.DataFrame:
     """DistGNN track: one row per (graph, partitioner, k, config)."""
-    cluster = cluster or ClusterModel()
     configs = configs or hyper_grid()
     rows = []
     for gname in graphs:
@@ -98,7 +99,7 @@ def run_distgnn_suite(
                 )
                 st = distgnn.partition_stats(run.assignment, k)
                 for cfg in configs:
-                    m = distgnn.epoch_metrics(st, cfg, cluster, scale=scale)
+                    m = distgnn.epoch_metrics(st, cfg, CLUSTER, scale=scale)
                     rows.append(
                         {
                             "graph": gname,
@@ -168,7 +169,6 @@ def run_distdgl_suite(
     global_batch: int | tuple[int, ...] = DEFAULT_GLOBAL_BATCH,
     scale: float,
     seed: int = 0,
-    cluster: ClusterModel | None = None,
 ) -> pd.DataFrame:
     """DistDGL track: one row per (graph, partitioner, k, batch, config, kind).
 
@@ -181,7 +181,6 @@ def run_distdgl_suite(
     Every (feature, hidden, kind) row of that epoch reads the same sample:
     these knobs change only the flop and byte counts, not the sampled graph.
     """
-    cluster = cluster or ClusterModel()
     rows = []
     for gname in graphs:
         b = load_bundle(gname, scale=scale, seed=seed)
@@ -207,7 +206,7 @@ def run_distdgl_suite(
                         )
                         for f, h, kind in itertools.product(features, hiddens, kinds):
                             cfg = distgnn.GNNConfig(feature=f, hidden=h, layers=L, kind=kind)
-                            ph = distdgl.phase_times(stats, cfg, cluster, fanouts)
+                            ph = distdgl.phase_times(stats, cfg, CLUSTER, fanouts)
                             rows.append(
                                 {
                                     "graph": gname,

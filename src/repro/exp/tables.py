@@ -13,13 +13,7 @@ import pandas as pd
 from repro.simulate.amortization import epochs_to_amortize
 
 
-def amortization_table(
-    suite: pd.DataFrame,
-    *,
-    partitioners: list[str],
-    graphs: list[str] | None = None,
-    time_col: str = "partition_seconds_norm",
-) -> pd.DataFrame:
+def amortization_table(suite: pd.DataFrame, *, partitioners: list[str]) -> pd.DataFrame:
     """Average epochs-to-amortize per (graph, partitioner) — Tables 4 / 5.
 
     For each config row the savings vs Random are computed; the paper
@@ -28,9 +22,8 @@ def amortization_table(
     cell is "no" unless a strict majority of its configs amortize, and
     otherwise averages the epoch counts of the configs that do.
     """
-    graphs = graphs or sorted(suite["graph"].unique())
     out = {}
-    for g in graphs:
+    for g in sorted(suite["graph"].unique()):
         row = {}
         for p in partitioners:
             sub = suite[(suite["graph"] == g) & (suite["partitioner"] == p)]
@@ -39,7 +32,8 @@ def amortization_table(
                 continue
             epochs = [
                 epochs_to_amortize(
-                    r[time_col], r["epoch_seconds_random"], r["epoch_seconds"]
+                    r["partition_seconds_norm"], r["epoch_seconds_random"],
+                    r["epoch_seconds"],
                 )
                 for _, r in sub.iterrows()
             ]
@@ -66,13 +60,24 @@ def mean_speedups(
     )
 
 
-def mean_metric_pct(
-    suite: pd.DataFrame, col: str, *, by=("graph", "partitioner", "k")
-) -> pd.DataFrame:
-    """Average <col> (a %-of-Random column) over the grid."""
+def mean_metric_pct(suite: pd.DataFrame, col: str) -> pd.DataFrame:
+    """Average <col> (a %-of-Random column) per (graph, partitioner, k) over
+    the grid."""
     return (
         suite[suite["partitioner"] != "Random"]
-        .groupby(list(by))[col]
+        .groupby(["graph", "partitioner", "k"])[col]
         .mean()
+        .reset_index()
+    )
+
+
+def pivot(
+    rows: pd.DataFrame, index: list[str], columns: str, values: str, digits: int
+) -> pd.DataFrame:
+    """``values`` per ``index`` over ``columns`` (the mean of duplicate rows),
+    rounded to ``digits``, with ``index`` as columns: one figure series."""
+    return (
+        rows.pivot_table(index=index, columns=columns, values=values)
+        .round(digits)
         .reset_index()
     )

@@ -77,7 +77,6 @@ class PartitionRun:
     """One timed partitioning execution plus its assignment."""
 
     partitioner: str
-    category: str
     cut_type: str
     k: int
     seconds: float
@@ -120,7 +119,6 @@ def run_partitioner(
         )
     return PartitionRun(
         partitioner=p.name,
-        category=p.category,
         cut_type=p.cut_type,
         k=k,
         seconds=seconds,
@@ -150,15 +148,18 @@ def degrees_of(edges: pd.DataFrame, n_vertices: int) -> np.ndarray:
     return deg
 
 
-def build_csr(edges: pd.DataFrame, n_vertices: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR adjacency (indptr, neighbor, edge_id) over the undirected view.
+def build_csr(
+    src: np.ndarray, dst: np.ndarray, n_vertices: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR adjacency (indptr, neighbor, edge_id) of the undirected edges
+    ``(src[i], dst[i])``.
 
     Every undirected edge appears twice (once per endpoint); ``edge_id`` maps
-    each incidence back to its row in ``edges`` so edge partitioners can
-    translate vertex-local decisions into edge assignments.
+    each incidence back to its edge row, so partitioners can translate
+    vertex-local decisions into edge assignments and read per-edge weights
+    as ``weight[edge_id]``. A vertex's incidences keep edge-row order: first
+    the rows where it is ``src``, then the rows where it is ``dst``.
     """
-    src = edges["src"].to_numpy(np.int64)
-    dst = edges["dst"].to_numpy(np.int64)
     m = len(src)
     ends = np.concatenate([src, dst])
     other = np.concatenate([dst, src])

@@ -21,14 +21,16 @@ import numpy as np
 
 from repro.partitioning.base import EdgePartitioner
 
+#: Guard of the load term's denominator.
+EPS = 1e-9
+
 
 class HDRFPartitioner(EdgePartitioner):
     name = "HDRF"
     category = "stateful streaming"
 
-    def __init__(self, lam: float = 1.1, eps: float = 1e-9):
+    def __init__(self, lam: float = 1.1):
         self.lam = float(lam)
-        self.eps = float(eps)
 
     def assign(self, edges, k, *, n_vertices, seed=0, split=None):
         src = edges["src"].to_numpy(np.int64)
@@ -38,7 +40,7 @@ class HDRFPartitioner(EdgePartitioner):
         partial = np.zeros(n_vertices, dtype=np.float64)
         loads = np.zeros(k, dtype=np.float64)
         out = np.empty(m, dtype=np.int64)
-        lam, eps = self.lam, self.eps
+        lam, eps = self.lam, EPS
         for i in range(m):
             u, v = src[i], dst[i]
             partial[u] += 1.0

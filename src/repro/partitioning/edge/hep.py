@@ -27,6 +27,9 @@ import numpy as np
 
 from repro.partitioning.base import EdgePartitioner, build_csr, degrees_of
 
+#: HDRF's load-balance weight, for the streamed high-degree edges.
+LAM = 1.1
+
 
 def _ne_expand(
     src: np.ndarray,
@@ -45,9 +48,7 @@ def _ne_expand(
     parts = np.full(m, -1, dtype=np.int64)
     if m == 0:
         return parts
-    import pandas as pd
-
-    indptr, nbr, eid = build_csr(pd.DataFrame({"src": src, "dst": dst}), n_vertices)
+    indptr, nbr, eid = build_csr(src, dst, n_vertices)
     un_deg = np.diff(indptr).astype(np.int64)  # unassigned incident edges
     target = int(np.ceil(m / k))
     assigned_total = 0
@@ -104,9 +105,8 @@ def _ne_expand(
 class HEPPartitioner(EdgePartitioner):
     category = "hybrid"
 
-    def __init__(self, tau: float, lam: float = 1.1):
+    def __init__(self, tau: float):
         self.tau = float(tau)
-        self.lam = float(lam)
         self.name = f"HEP{int(tau)}"
 
     def assign(self, edges, k, *, n_vertices, seed=0, split=None):
@@ -134,7 +134,7 @@ class HEPPartitioner(EdgePartitioner):
         member[low_parts, dst[low_idx]] = True
         loads = np.bincount(low_parts, minlength=k).astype(np.float64)
         partial = np.zeros(n_vertices, dtype=np.float64)
-        lam, eps = self.lam, 1e-9
+        lam, eps = LAM, 1e-9
         for i in np.flatnonzero(~low_edge):
             u, v = src[i], dst[i]
             partial[u] += 1.0

@@ -22,13 +22,13 @@ import numpy as np
 
 from repro.partitioning.base import EdgePartitioner, degrees_of
 
+#: Edge-balance cap factor: a partition takes at most ALPHA * |E| / k edges.
+ALPHA = 1.1
+
 
 class TwoPSLPartitioner(EdgePartitioner):
     name = "2PS-L"
     category = "stateful streaming"
-
-    def __init__(self, alpha: float = 1.1):
-        self.alpha = float(alpha)
 
     def assign(self, edges, k, *, n_vertices, seed=0, split=None):
         src = edges["src"].to_numpy(np.int64)
@@ -69,7 +69,7 @@ class TwoPSLPartitioner(EdgePartitioner):
             part_vol[p] += cvol[ci]
 
         # --- Phase 2: linear-time edge assignment with edge-balance cap.
-        cap = self.alpha * m / k
+        cap = ALPHA * m / k
         loads = np.zeros(k, dtype=np.float64)
         out = np.empty(m, dtype=np.int64)
         pu_all = part_of_cluster[cluster[src]]

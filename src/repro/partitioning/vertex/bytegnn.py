@@ -18,19 +18,21 @@ import numpy as np
 
 from repro.partitioning.base import VertexPartitioner, build_csr
 
+#: Block fanouts (first hop, second hop) and the training-balance slack.
+FANOUT1 = 10
+FANOUT2 = 5
+ALPHA = 1.05
+
 
 class ByteGNNPartitioner(VertexPartitioner):
     name = "ByteGNN"
     category = "in-memory"
 
-    def __init__(self, fanout1: int = 10, fanout2: int = 5, alpha: float = 1.05):
-        self.fanout1 = int(fanout1)
-        self.fanout2 = int(fanout2)
-        self.alpha = float(alpha)
-
     def assign(self, edges, k, *, n_vertices, seed=0, split=None):
         rng = np.random.default_rng(seed)
-        indptr, nbr, _ = build_csr(edges, n_vertices)
+        indptr, nbr, _ = build_csr(
+            edges["src"].to_numpy(np.int64), edges["dst"].to_numpy(np.int64), n_vertices
+        )
         if split is not None:
             train = split.loc[split["role"] == "train", "vertex"].to_numpy(np.int64)
         else:  # fall back to the paper's 10% random training split
@@ -38,7 +40,7 @@ class ByteGNNPartitioner(VertexPartitioner):
         part = np.full(n_vertices, -1, dtype=np.int64)
         train_load = np.zeros(k, dtype=np.float64)
         vertex_load = np.zeros(k, dtype=np.float64)
-        cap_train = self.alpha * len(train) / k
+        cap_train = ALPHA * len(train) / k
         is_train = np.zeros(n_vertices, dtype=bool)
         is_train[train] = True
 
@@ -51,10 +53,10 @@ class ByteGNNPartitioner(VertexPartitioner):
 
         for t in rng.permutation(train):
             block = [int(t)]
-            hop1 = sample_nbrs(t, self.fanout1)
+            hop1 = sample_nbrs(t, FANOUT1)
             block.extend(int(x) for x in hop1)
-            for u in hop1[: self.fanout1 // 2]:
-                block.extend(int(x) for x in sample_nbrs(int(u), self.fanout2))
+            for u in hop1[: FANOUT1 // 2]:
+                block.extend(int(x) for x in sample_nbrs(int(u), FANOUT2))
             block_arr = np.unique(np.asarray(block, dtype=np.int64))
             assigned = part[block_arr]
             overlap = np.bincount(assigned[assigned >= 0], minlength=k).astype(np.float64)

@@ -26,10 +26,8 @@ class KaHIPLikePartitioner(VertexPartitioner):
     name = "KaHIP"
     category = "in-memory"
 
-    def __init__(self, alpha: float = 1.03, restarts: int = 4, passes: int = 3):
-        self.alpha = float(alpha)
+    def __init__(self, restarts: int = 4):
         self.restarts = int(restarts)
-        self.passes = int(passes)
 
     def assign(self, edges, k, *, n_vertices, seed=0, split=None):
         eu = edges["src"].to_numpy(np.int64)
@@ -39,14 +37,7 @@ class KaHIPLikePartitioner(VertexPartitioner):
         best_cut = np.inf
         for r in range(self.restarts):
             part = multilevel_partition(
-                eu,
-                ev,
-                n_vertices,
-                k,
-                seed=seed * 7919 + r,
-                refiner="fm",
-                alpha=self.alpha,
-                passes=self.passes,
+                eu, ev, n_vertices, k, seed=seed * 7919 + r, refiner="fm"
             )
             c = cut_weight(eu, ev, ew, part)
             if c < best_cut:

@@ -17,20 +17,22 @@ import numpy as np
 
 from repro.partitioning.base import VertexPartitioner, build_csr
 
+#: Capacity slack: ``C = ALPHA * n / k``.
+ALPHA = 1.05
+
 
 class LDGPartitioner(VertexPartitioner):
     name = "LDG"
     category = "stateful streaming"
 
-    def __init__(self, alpha: float = 1.05):
-        self.alpha = float(alpha)
-
     def assign(self, edges, k, *, n_vertices, seed=0, split=None):
         rng = np.random.default_rng(seed)
-        indptr, nbr, _ = build_csr(edges, n_vertices)
+        indptr, nbr, _ = build_csr(
+            edges["src"].to_numpy(np.int64), edges["dst"].to_numpy(np.int64), n_vertices
+        )
         out = np.full(n_vertices, -1, dtype=np.int64)
         loads = np.zeros(k, dtype=np.float64)
-        cap = self.alpha * n_vertices / k
+        cap = ALPHA * n_vertices / k
         order = rng.permutation(n_vertices)  # stream order
         for v in order:
             neigh = nbr[indptr[v] : indptr[v + 1]]

@@ -18,10 +18,6 @@ class MetisLikePartitioner(VertexPartitioner):
     name = "Metis"
     category = "in-memory"
 
-    def __init__(self, alpha: float = 1.05, passes: int = 3):
-        self.alpha = float(alpha)
-        self.passes = int(passes)
-
     def assign(self, edges, k, *, n_vertices, seed=0, split=None):
         return multilevel_partition(
             edges["src"].to_numpy(np.int64),
@@ -30,6 +26,4 @@ class MetisLikePartitioner(VertexPartitioner):
             k,
             seed=seed,
             refiner="oneshot",
-            alpha=self.alpha,
-            passes=self.passes,
         )

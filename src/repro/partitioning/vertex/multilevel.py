@@ -25,7 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.partitioning.base import build_csr
+
 COARSE_PER_PART = 24
+#: Refinement passes (FM rounds) per level.
+PASSES = 3
+#: Balance caps: METIS's default slack for the one-shot pass, KaHIP's
+#: tighter one for FM.
+ONESHOT_ALPHA = 1.05
+FM_ALPHA = 1.03
 
 
 @dataclass
@@ -37,24 +45,13 @@ class _Level:
     cmap: np.ndarray | None  # fine-vertex -> this level's vertex (None at finest)
 
 
-def _csr(n: int, eu: np.ndarray, ev: np.ndarray, ew: np.ndarray):
-    a = np.concatenate([eu, ev])
-    b = np.concatenate([ev, eu])
-    w = np.concatenate([ew, ew])
-    order = np.argsort(a, kind="stable")
-    a, b, w = a[order], b[order], w[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, a + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, b, w
-
-
 def _contract(
     eu: np.ndarray, ev: np.ndarray, ew: np.ndarray, vwgt: np.ndarray, rng: np.random.Generator
 ) -> _Level | None:
     """One heavy-edge-matching contraction; None if it no longer shrinks."""
     n = len(vwgt)
-    indptr, nbr, w = _csr(n, eu, ev, ew)
+    indptr, nbr, eid = build_csr(eu, ev, n)
+    w = ew[eid]
     match = np.full(n, -1, dtype=np.int64)
     for v in rng.permutation(n):
         if match[v] >= 0:
@@ -110,7 +107,7 @@ def coarsen(
 def initial_partition(level: _Level, k: int, rng: np.random.Generator) -> np.ndarray:
     """Greedy region growing on the coarsest graph."""
     n = len(level.vwgt)
-    indptr, nbr, _ = _csr(n, level.eu, level.ev, level.ew)
+    indptr, nbr, _ = build_csr(level.eu, level.ev, n)
     part = np.full(n, -1, dtype=np.int64)
     total = level.vwgt.sum()
     target = total / k
@@ -167,9 +164,7 @@ def cut_weight(eu: np.ndarray, ev: np.ndarray, ew: np.ndarray, part: np.ndarray)
     return float(ew[part[eu] != part[ev]].sum())
 
 
-def refine_oneshot(
-    level: _Level, part: np.ndarray, k: int, *, alpha: float = 1.05, passes: int = 3
-) -> np.ndarray:
+def refine_oneshot(level: _Level, part: np.ndarray, k: int) -> np.ndarray:
     """Vectorized one-shot gain passes (METIS-flavour refinement).
 
     Each pass computes all boundary gains from a frozen partition, then
@@ -177,9 +172,9 @@ def refine_oneshot(
     balance. Cheap, good-enough cuts.
     """
     n = len(level.vwgt)
-    cap = _cap(level.vwgt, k, alpha)
+    cap = _cap(level.vwgt, k, ONESHOT_ALPHA)
     part = part.copy()
-    for _ in range(passes):
+    for _ in range(PASSES):
         W = neighbor_weight_matrix(n, level.eu, level.ev, level.ew, part, k)
         own = W[np.arange(n), part]
         Wother = W.copy()
@@ -206,9 +201,7 @@ def refine_oneshot(
     return part
 
 
-def refine_fm(
-    level: _Level, part: np.ndarray, k: int, *, alpha: float = 1.03, rounds: int = 4
-) -> np.ndarray:
+def refine_fm(level: _Level, part: np.ndarray, k: int) -> np.ndarray:
     """Sequential FM-style refinement with exact gain updates (KaHIP-flavour).
 
     After every accepted move the gains of the moved vertex's neighbors are
@@ -220,8 +213,9 @@ def refine_fm(
     import heapq
 
     n = len(level.vwgt)
-    indptr, nbr, w = _csr(n, level.eu, level.ev, level.ew)
-    cap = _cap(level.vwgt, k, alpha)
+    indptr, nbr, eid = build_csr(level.eu, level.ev, n)
+    w = level.ew[eid]
+    cap = _cap(level.vwgt, k, FM_ALPHA)
     part = part.copy()
     load = np.zeros(k, dtype=np.float64)
     np.add.at(load, part, level.vwgt)
@@ -235,7 +229,7 @@ def refine_fm(
         b = int(Wv.argmax())
         return float(Wv[b] - own), b
 
-    for _ in range(rounds):
+    for _ in range(PASSES):
         heap: list[tuple[float, int, int]] = []
         for v in range(n):
             g, b = gains_of(v)
@@ -283,19 +277,14 @@ def multilevel_partition(
     *,
     seed: int = 0,
     refiner: str = "oneshot",
-    alpha: float = 1.05,
-    passes: int = 3,
 ) -> np.ndarray:
     """Full multilevel pipeline; ``refiner`` in {"oneshot", "fm"}."""
     rng = np.random.default_rng(seed)
     levels = coarsen(eu, ev, n_vertices, k, rng)
     part = initial_partition(levels[-1], k, rng)
+    refine = refine_fm if refiner == "fm" else refine_oneshot
     for lvl in range(len(levels) - 1, -1, -1):
-        level = levels[lvl]
-        if refiner == "fm":
-            part = refine_fm(level, part, k, alpha=alpha, rounds=passes)
-        else:
-            part = refine_oneshot(level, part, k, alpha=alpha, passes=passes)
+        part = refine(levels[lvl], part, k)
         if lvl > 0:
             part = part[levels[lvl].cmap]
     return part

@@ -17,16 +17,19 @@ import numpy as np
 
 from repro.partitioning.base import VertexPartitioner
 
+#: Capacity slack (``C = ALPHA * n / k``), weight of the balance term, and
+#: the share of improvable vertices that move per round.
+ALPHA = 1.05
+C_BAL = 0.5
+MOVE_FRAC = 0.5
+
 
 class SpinnerPartitioner(VertexPartitioner):
     name = "Spinner"
     category = "in-memory"
 
-    def __init__(self, iterations: int = 15, alpha: float = 1.05, c_bal: float = 0.5, move_frac: float = 0.5):
+    def __init__(self, iterations: int = 15):
         self.iterations = int(iterations)
-        self.alpha = float(alpha)
-        self.c_bal = float(c_bal)
-        self.move_frac = float(move_frac)
 
     def assign(self, edges, k, *, n_vertices, seed=0, split=None):
         rng = np.random.default_rng(seed)
@@ -36,12 +39,12 @@ class SpinnerPartitioner(VertexPartitioner):
         b = np.concatenate([dst, src])
         deg = np.maximum(1, np.bincount(a, minlength=n_vertices)).astype(np.float64)
         label = rng.integers(0, k, n_vertices)
-        cap = self.alpha * n_vertices / k
+        cap = ALPHA * n_vertices / k
         for _ in range(self.iterations):
             counts = np.zeros((n_vertices, k), dtype=np.float64)
             np.add.at(counts, (a, label[b]), 1.0)
             load = np.bincount(label, minlength=k).astype(np.float64)
-            penalty = self.c_bal * (1.0 - load / cap)
+            penalty = C_BAL * (1.0 - load / cap)
             score = counts / deg[:, None] + penalty[None, :]
             # Hard capacity: full partitions accept no newcomers (a vertex
             # may always stay where it is).
@@ -52,7 +55,7 @@ class SpinnerPartitioner(VertexPartitioner):
             cand = score.argmax(axis=1)
             cur = score[np.arange(n_vertices), label]
             new = score[np.arange(n_vertices), cand]
-            move = (new > cur + 1e-12) & (rng.random(n_vertices) < self.move_frac)
+            move = (new > cur + 1e-12) & (rng.random(n_vertices) < MOVE_FRAC)
             if not move.any():
                 break
             # Admit movers per target partition only up to the remaining

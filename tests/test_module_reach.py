@@ -58,7 +58,7 @@ def _references(path: Path) -> list[tuple[str, int]]:
 def test_every_public_name_is_used_outside_its_tests():
     refs = {
         p: _references(p)
-        for d in ("src", "jobs", "perfbench", "benchmarks")
+        for d in ("src", "jobs", "perfbench")
         for p in (ROOT / d).rglob("*.py")
     }
     unused = []

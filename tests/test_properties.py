@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.generators import symmetrized, undirected_view
-from repro.partitioning.base import degrees_of, run_partitioner
+from repro.partitioning.base import build_csr, degrees_of, run_partitioner
 from repro.partitioning.edge.hdrf import HDRFPartitioner
 from repro.partitioning.edge.random_ep import splitmix64
 from repro.partitioning.vertex.ldg import LDGPartitioner
@@ -54,6 +54,25 @@ def test_degrees_sum_to_twice_edges(data):
     und = undirected_view(edges)
     deg = degrees_of(und, n)
     assert deg.sum() == 2 * len(und)
+
+
+@given(edge_lists())
+@settings(max_examples=25, deadline=None)
+def test_build_csr_lists_each_edge_from_both_ends_in_row_order(data):
+    # LDG, ByteGNN, HEP and the multilevel matching read neighbours in this
+    # order, so it fixes their assignments.
+    edges, n = data
+    src, dst = edges["src"].to_numpy(np.int64), edges["dst"].to_numpy(np.int64)
+    indptr, nbr, eid = build_csr(src, dst, n)
+    assert indptr[0] == 0 and indptr[-1] == 2 * len(edges)
+    assert (np.bincount(eid, minlength=len(edges)) == 2).all()
+    owner = np.repeat(np.arange(n), np.diff(indptr))
+    np.testing.assert_array_equal(nbr, np.where(src[eid] == owner, dst[eid], src[eid]))
+    for v in range(n):
+        np.testing.assert_array_equal(
+            eid[indptr[v] : indptr[v + 1]],
+            np.concatenate([np.flatnonzero(src == v), np.flatnonzero(dst == v)]),
+        )
 
 
 @given(edge_lists(), st.integers(2, 5))

@@ -19,13 +19,22 @@ CLUSTER = ClusterModel()
 SCALE = 1e-4
 
 
-@pytest.fixture(scope="module")
-def eu_runs():
-    edges = undirected_view(generate("EU", scale=SCALE, seed=0))
+def _edge_runs(graph):
+    edges = undirected_view(generate(graph, scale=SCALE, seed=0))
     n = n_vertices_of(edges)
     rnd = run_partitioner(RandomEdgePartitioner(), edges, 8, n_vertices=n)
     hep = run_partitioner(hep100(), edges, 8, n_vertices=n)
     return edges, n, rnd, hep
+
+
+@pytest.fixture(scope="module")
+def eu_runs():
+    return _edge_runs("EU")
+
+
+@pytest.fixture(scope="module")
+def or_runs():
+    return _edge_runs("OR")
 
 
 class TestPartitionStats:
@@ -39,11 +48,13 @@ class TestPartitionStats:
         assert st.replicas.sum() == st.vertices.sum() - st.n_vertices
 
     def test_rf_matches_definition(self, eu_runs):
-        _, _, rnd, _ = eu_runs
-        st = distgnn.partition_stats(rnd.assignment, 8)
-        assert st.replication_factor == pytest.approx(
-            st.vertices.sum() / st.n_vertices
-        )
+        _, _, rnd, hep = eu_runs
+        for run in (rnd, hep):
+            st = distgnn.partition_stats(run.assignment, 8)
+            assert st.replication_factor == pytest.approx(
+                st.vertices.sum() / st.n_vertices
+            )
+            assert 1.0 <= st.replication_factor <= 8
 
     def test_hep_has_lower_rf(self, eu_runs):
         _, _, rnd, hep = eu_runs
@@ -59,15 +70,15 @@ class TestDistGNNEpochMetrics:
         base.update(kw)
         return distgnn.GNNConfig(**base)
 
-    def test_better_partitioning_is_faster_and_leaner(self, eu_runs):
-        _, _, rnd, hep = eu_runs
-        st_r = distgnn.partition_stats(rnd.assignment, 8)
-        st_h = distgnn.partition_stats(hep.assignment, 8)
-        m_r = distgnn.epoch_metrics(st_r, self.cfg(), CLUSTER, scale=SCALE)
-        m_h = distgnn.epoch_metrics(st_h, self.cfg(), CLUSTER, scale=SCALE)
-        assert m_h.epoch_seconds < m_r.epoch_seconds
-        assert m_h.network_bytes < m_r.network_bytes
-        assert m_h.mem_per_machine.max() < m_r.mem_per_machine.max()
+    def test_better_partitioning_is_faster_and_leaner(self, eu_runs, or_runs):
+        for _, _, rnd, hep in (eu_runs, or_runs):
+            st_r = distgnn.partition_stats(rnd.assignment, 8)
+            st_h = distgnn.partition_stats(hep.assignment, 8)
+            m_r = distgnn.epoch_metrics(st_r, self.cfg(), CLUSTER, scale=SCALE)
+            m_h = distgnn.epoch_metrics(st_h, self.cfg(), CLUSTER, scale=SCALE)
+            assert m_h.epoch_seconds < m_r.epoch_seconds
+            assert m_h.network_bytes < m_r.network_bytes
+            assert m_h.mem_per_machine.max() < m_r.mem_per_machine.max()
 
     def test_network_proportional_to_replicas(self, eu_runs):
         # The paper's Figure 3 correlation is structural in the simulator.

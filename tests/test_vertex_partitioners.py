@@ -99,10 +99,14 @@ class TestCutOrdering:
         cut_kahip = _cut_ratio(
             edges, run_partitioner(KaHIPLikePartitioner(restarts=2), edges, 8, n_vertices=n).assignment
         )
+        cut_metis = _cut_ratio(
+            edges, run_partitioner(MetisLikePartitioner(), edges, 8, n_vertices=n).assignment
+        )
         cut_rnd = _cut_ratio(
             edges, run_partitioner(RandomVertexPartitioner(), edges, 8, n_vertices=n).assignment
         )
         assert cut_kahip < 0.1
+        assert cut_metis < 0.2
         assert cut_rnd > 0.8
 
     def test_spinner_is_much_worse_on_road_than_metis(self, di_graph):
@@ -138,7 +142,7 @@ class TestCutOrdering:
 class TestLDG:
     def test_respects_capacity(self, eu_graph):
         edges, n = eu_graph
-        run = run_partitioner(LDGPartitioner(alpha=1.05), edges, 8, n_vertices=n)
+        run = run_partitioner(LDGPartitioner(), edges, 8, n_vertices=n)
         vpp = run.assignment.groupby("part").size()
         assert vpp.max() <= 1.06 * n / 8 + 1
 
