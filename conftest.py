@@ -58,9 +58,9 @@ def spark() -> SparkSession:
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
     (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    Automatic broadcast joins are disabled so no join silently turns into
+    a broadcast; the edge-cut query (``quality.edge_cut_quality``) opts
+    back in explicitly with ``F.broadcast`` on the vertex assignment.
     """
     s = (
         SparkSession.builder.appName("repro")

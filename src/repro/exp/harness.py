@@ -31,7 +31,7 @@ from repro.partitioning import quality
 from repro.partitioning.base import assignment_to_spark, run_partitioner
 from repro.partitioning.registry import make_edge_partitioner, make_vertex_partitioner
 from repro.simulate import distdgl, distgnn
-from repro.simulate.costmodel import ClusterModel, partition_time_model
+from repro.simulate.costmodel import partition_time_model
 
 #: Paper Table 3 hyper-parameter grid.
 FEATURE_SIZES = (16, 64, 512)
@@ -43,10 +43,6 @@ MACHINES = (4, 8, 16, 32)
 #: (the paper's GBS is ~0.3% of the training set — 64 keeps that order of
 #: magnitude at bench scale while leaving multiple steps per epoch).
 DEFAULT_GLOBAL_BATCH = 64
-
-#: The analytic cluster every suite row is evaluated on.
-CLUSTER = ClusterModel()
-
 
 def hyper_grid() -> list[distgnn.GNNConfig]:
     return [
@@ -82,12 +78,11 @@ def run_distgnn_suite(
     graphs=("HW", "DI", "EN", "EU", "OR"),
     partitioners=("Random", "DBH", "HDRF", "2PS-L", "HEP10", "HEP100"),
     ks=MACHINES,
-    configs: list[distgnn.GNNConfig] | None = None,
     scale: float,
     seed: int = 0,
 ) -> pd.DataFrame:
     """DistGNN track: one row per (graph, partitioner, k, config)."""
-    configs = configs or hyper_grid()
+    configs = hyper_grid()
     rows = []
     for gname in graphs:
         b = load_bundle(gname, scale=scale, seed=seed)
@@ -99,7 +94,7 @@ def run_distgnn_suite(
                 )
                 st = distgnn.partition_stats(run.assignment, k)
                 for cfg in configs:
-                    m = distgnn.epoch_metrics(st, cfg, CLUSTER, scale=scale)
+                    m = distgnn.epoch_metrics(st, cfg, scale=scale)
                     rows.append(
                         {
                             "graph": gname,
@@ -199,14 +194,13 @@ def run_distdgl_suite(
                 for gbs in np.atleast_1d(global_batch).tolist():
                     seeds = plan_batches(b.train, owner, k, gbs, seed=seed)
                     for L in layer_counts:
-                        fanouts = FANOUTS[L]
                         stats = sample_epoch(
-                            indptr, indices, seeds, owner, fanouts,
+                            indptr, indices, seeds, owner, FANOUTS[L],
                             seed=seed, global_batch=gbs,
                         )
                         for f, h, kind in itertools.product(features, hiddens, kinds):
                             cfg = distgnn.GNNConfig(feature=f, hidden=h, layers=L, kind=kind)
-                            ph = distdgl.phase_times(stats, cfg, CLUSTER, fanouts)
+                            ph = distdgl.phase_times(stats, cfg)
                             rows.append(
                                 {
                                     "graph": gname,

@@ -116,7 +116,7 @@ def generate(name: str, *, scale: float = TEST_SCALE, seed: int = 0) -> pd.DataF
         return generators.road_grid(
             n_vertices=n_v, directed=spec.directed, seed=seed, **spec.params
         )
-    return generators.dcsbm_powerlaw(
+    edges, _ = generators.dcsbm_powerlaw(
         n_vertices=n_v,
         n_edges=n_e,
         n_communities=spec.n_communities(scale),
@@ -124,6 +124,7 @@ def generate(name: str, *, scale: float = TEST_SCALE, seed: int = 0) -> pd.DataF
         seed=seed,
         **spec.params,
     )
+    return edges
 
 
 def load(spark: SparkSession, name: str, *, scale: float = TEST_SCALE, seed: int = 0) -> DataFrame:

@@ -61,8 +61,7 @@ def dcsbm_powerlaw(
     gamma: float = 2.2,
     directed: bool = False,
     seed: int = 0,
-    return_communities: bool = False,
-) -> pd.DataFrame | tuple[pd.DataFrame, np.ndarray]:
+) -> tuple[pd.DataFrame, np.ndarray]:
     """Degree-corrected stochastic-block-model graph with power-law degrees.
 
     Endpoints are drawn from a Zipf-like weight vector (``w_i ~ i^(-1/(gamma-1))``,
@@ -71,9 +70,10 @@ def dcsbm_powerlaw(
     drawn from the *source's community*, otherwise from the whole graph.
     Low ``mixing`` ⇒ strong locality ⇒ good partitioners find small cuts.
 
-    Returns a simple graph (no self-loops / duplicate pairs); undirected
-    graphs are canonicalized to ``src < dst``. The realized edge count can
-    fall slightly short of ``n_edges`` after dedup — callers read ``len(df)``.
+    Returns ``(edges, communities)``: a simple graph (no self-loops /
+    duplicate pairs; undirected graphs are canonicalized to ``src < dst``)
+    and the planted community of every vertex. The realized edge count can
+    fall slightly short of ``n_edges`` after dedup — callers read ``len(edges)``.
     """
     if n_vertices < 2:
         raise ValueError("need at least 2 vertices")
@@ -133,18 +133,15 @@ def dcsbm_powerlaw(
         acc_src, acc_dst = acc_src[:m_target], acc_dst[:m_target]
     # Shuffle so streaming partitioners don't see a sorted-by-key stream.
     order = rng.permutation(len(acc_src))
-    df = pd.DataFrame({"src": acc_src[order], "dst": acc_dst[order]})
-    return (df, comm) if return_communities else df
+    return pd.DataFrame({"src": acc_src[order], "dst": acc_dst[order]}), comm
 
 
-def road_grid(
-    *,
-    n_vertices: int,
-    drop_frac: float = 0.08,
-    shortcut_frac: float = 0.002,
-    directed: bool = True,
-    seed: int = 0,
-) -> pd.DataFrame:
+#: Share of road-grid lattice edges removed, and of "highway" shortcuts added.
+DROP_FRAC = 0.08
+SHORTCUT_FRAC = 0.002
+
+
+def road_grid(*, n_vertices: int, directed: bool = True, seed: int = 0) -> pd.DataFrame:
     """Perturbed 2-D grid standing in for the Dimacs9-USA road network.
 
     A ``rows x cols`` lattice (4-neighborhood) with a fraction of edges
@@ -161,10 +158,10 @@ def road_grid(
     right = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)
     down = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1)
     edges = np.concatenate([right, down])
-    keep = rng.random(len(edges)) >= drop_frac
+    keep = rng.random(len(edges)) >= DROP_FRAC
     edges = edges[keep]
 
-    n_short = max(1, int(len(edges) * shortcut_frac))
+    n_short = max(1, int(len(edges) * SHORTCUT_FRAC))
     sa = rng.integers(0, n, n_short)
     sb = rng.integers(0, n, n_short)
     edges = np.concatenate([edges, np.stack([sa, sb], axis=1)])

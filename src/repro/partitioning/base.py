@@ -142,10 +142,9 @@ def assignment_to_spark(spark: SparkSession, run: PartitionRun) -> DataFrame:
 
 def degrees_of(edges: pd.DataFrame, n_vertices: int) -> np.ndarray:
     """Undirected degree per vertex id as a dense numpy array."""
-    deg = np.zeros(n_vertices, dtype=np.int64)
-    np.add.at(deg, edges["src"].to_numpy(np.int64), 1)
-    np.add.at(deg, edges["dst"].to_numpy(np.int64), 1)
-    return deg
+    src = edges["src"].to_numpy(np.int64)
+    dst = edges["dst"].to_numpy(np.int64)
+    return np.bincount(src, minlength=n_vertices) + np.bincount(dst, minlength=n_vertices)
 
 
 def build_csr(

@@ -7,8 +7,9 @@ HEP splits the graph by a degree threshold ``tau * mean_degree``:
   expansion — grow each partition around a core, always absorbing the
   boundary vertex with the fewest unassigned edges, which yields very low
   replication factors;
-* the *high-degree* remainder is **streamed** with HDRF-style scoring that
-  is aware of the replicas the in-memory phase already created.
+* the *high-degree* remainder is **streamed** through HDRF's loop
+  (:func:`repro.partitioning.edge.hdrf.stream`), starting from the replicas
+  and loads the in-memory phase left.
 
 ``tau`` controls the split: HEP10 (tau=10) streams a noticeable share,
 HEP100 (tau=100) is effectively all in-memory — the paper treats the two
@@ -26,9 +27,7 @@ import heapq
 import numpy as np
 
 from repro.partitioning.base import EdgePartitioner, build_csr, degrees_of
-
-#: HDRF's load-balance weight, for the streamed high-degree edges.
-LAM = 1.1
+from repro.partitioning.edge import hdrf
 
 
 def _ne_expand(
@@ -127,30 +126,14 @@ class HEPPartitioner(EdgePartitioner):
         low_parts = _ne_expand(src[low_idx], dst[low_idx], n_vertices, k, rng)
         out[low_idx] = low_parts
 
-        # Streaming phase for edges touching high-degree vertices, HDRF-style,
-        # seeded with the replicas the in-memory phase created.
+        # Streaming phase for edges touching high-degree vertices, through
+        # HDRF's loop, seeded with the replicas the in-memory phase created.
         member = np.zeros((k, n_vertices), dtype=bool)
         member[low_parts, src[low_idx]] = True
         member[low_parts, dst[low_idx]] = True
         loads = np.bincount(low_parts, minlength=k).astype(np.float64)
-        partial = np.zeros(n_vertices, dtype=np.float64)
-        lam, eps = LAM, 1e-9
-        for i in np.flatnonzero(~low_edge):
-            u, v = src[i], dst[i]
-            partial[u] += 1.0
-            partial[v] += 1.0
-            du, dv = partial[u], partial[v]
-            theta_u = du / (du + dv)
-            score = member[:, u] * (2.0 - theta_u) + member[:, v] * (1.0 + theta_u)
-            maxload = loads.max()
-            minload = loads.min()
-            if maxload > minload:
-                score = score + lam * (maxload - loads) / (eps + maxload - minload)
-            p = int(np.argmax(score))
-            out[i] = p
-            member[p, u] = True
-            member[p, v] = True
-            loads[p] += 1.0
+        high_idx = np.flatnonzero(~low_edge)
+        out[high_idx] = hdrf.stream(src[high_idx], dst[high_idx], member, loads)
         return out
 
 

@@ -29,14 +29,13 @@ class ByteGNNPartitioner(VertexPartitioner):
     category = "in-memory"
 
     def assign(self, edges, k, *, n_vertices, seed=0, split=None):
+        if split is None:
+            raise ValueError("ByteGNN balances training vertices: pass the split")
         rng = np.random.default_rng(seed)
         indptr, nbr, _ = build_csr(
             edges["src"].to_numpy(np.int64), edges["dst"].to_numpy(np.int64), n_vertices
         )
-        if split is not None:
-            train = split.loc[split["role"] == "train", "vertex"].to_numpy(np.int64)
-        else:  # fall back to the paper's 10% random training split
-            train = rng.permutation(n_vertices)[: max(1, n_vertices // 10)]
+        train = split.loc[split["role"] == "train", "vertex"].to_numpy(np.int64)
         part = np.full(n_vertices, -1, dtype=np.int64)
         train_load = np.zeros(k, dtype=np.float64)
         vertex_load = np.zeros(k, dtype=np.float64)

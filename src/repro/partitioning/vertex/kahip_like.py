@@ -21,13 +21,13 @@ import numpy as np
 from repro.partitioning.base import VertexPartitioner
 from repro.partitioning.vertex.multilevel import cut_weight, multilevel_partition
 
+#: Independent multilevel runs; the lowest cut wins.
+RESTARTS = 4
+
 
 class KaHIPLikePartitioner(VertexPartitioner):
     name = "KaHIP"
     category = "in-memory"
-
-    def __init__(self, restarts: int = 4):
-        self.restarts = int(restarts)
 
     def assign(self, edges, k, *, n_vertices, seed=0, split=None):
         eu = edges["src"].to_numpy(np.int64)
@@ -35,7 +35,7 @@ class KaHIPLikePartitioner(VertexPartitioner):
         ew = np.ones(len(eu))
         best_part: np.ndarray | None = None
         best_cut = np.inf
-        for r in range(self.restarts):
+        for r in range(RESTARTS):
             part = multilevel_partition(
                 eu, ev, n_vertices, k, seed=seed * 7919 + r, refiner="fm"
             )

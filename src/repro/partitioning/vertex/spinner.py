@@ -15,21 +15,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.partitioning.base import VertexPartitioner
+from repro.partitioning.base import VertexPartitioner, degrees_of
 
-#: Capacity slack (``C = ALPHA * n / k``), weight of the balance term, and
-#: the share of improvable vertices that move per round.
+#: Capacity slack (``C = ALPHA * n / k``), weight of the balance term, the
+#: share of improvable vertices that move per round, and the round limit.
 ALPHA = 1.05
 C_BAL = 0.5
 MOVE_FRAC = 0.5
+ITERATIONS = 15
 
 
 class SpinnerPartitioner(VertexPartitioner):
     name = "Spinner"
     category = "in-memory"
-
-    def __init__(self, iterations: int = 15):
-        self.iterations = int(iterations)
 
     def assign(self, edges, k, *, n_vertices, seed=0, split=None):
         rng = np.random.default_rng(seed)
@@ -37,10 +35,10 @@ class SpinnerPartitioner(VertexPartitioner):
         dst = edges["dst"].to_numpy(np.int64)
         a = np.concatenate([src, dst])
         b = np.concatenate([dst, src])
-        deg = np.maximum(1, np.bincount(a, minlength=n_vertices)).astype(np.float64)
+        deg = np.maximum(1, degrees_of(edges, n_vertices)).astype(np.float64)
         label = rng.integers(0, k, n_vertices)
         cap = ALPHA * n_vertices / k
-        for _ in range(self.iterations):
+        for _ in range(ITERATIONS):
             counts = np.zeros((n_vertices, k), dtype=np.float64)
             np.add.at(counts, (a, label[b]), 1.0)
             load = np.bincount(label, minlength=k).astype(np.float64)

@@ -11,13 +11,13 @@ algorithm outputs, not by tuned per-experiment numbers.
 Calibration notes (constants chosen once, to land phase *ratios* in the
 regimes the paper reports, not to match absolute seconds):
 
-* ``flops_per_sec`` ~ effective LIBXSMM-style throughput of an 8-core
+* ``FLOPS_PER_SEC`` ~ effective LIBXSMM-style throughput of an 8-core
   Haswell node;
-* ``net_bandwidth`` ~ effective per-machine all-to-all goodput. DistGNN is
+* ``NET_BANDWIDTH`` ~ effective per-machine all-to-all goodput. DistGNN is
   communication-bound (its speedups track the replication factor almost
   exactly), which requires bandwidth ≪ compute as in the paper's Figure 3;
 * feature-fetch vs sampling crossover at feature size ~64-512 (paper
-  Figure 19a) pins the ratio of ``net_bandwidth`` to ``samp_edge_cost``;
+  Figure 19a) pins the ratio of ``NET_BANDWIDTH`` to ``SAMP_EDGE_COST``;
 * ``mem_budget_bytes(scale)`` scales the 64 GB/machine budget with the
   graph scale so out-of-memory verdicts are meaningful on the ~1/1000
   stand-in graphs.
@@ -29,39 +29,28 @@ per-edge interpreted loops are ~40x slower than the C++ equivalents. The
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 BYTES_PER_SCALAR = 4
 
+#: Machine constants of the simulated training cluster.
+FLOPS_PER_SEC = 6.0e10  # 8-core Haswell with tuned kernels
+NET_BANDWIDTH = 5.0e7   # bytes/s effective per-machine goodput
+REMOTE_ACCESS_COST = 10e-6  # seconds per remote sampling RPC
+SAMP_EDGE_COST = 2e-6   # seconds per sampled edge (local work)
+LOCAL_READ_COST = 5e-8  # seconds per locally-read input vertex
+UPDATE_COST = 1e-3      # optimizer step (paper: negligible)
+MEM_OVERHEAD = 2.0      # forward state + backward/grad buffers
+MACHINE_MEM_BYTES = 64e9  # paper: 64 GB per machine
 
-@dataclass(frozen=True)
-class ClusterModel:
-    """Machine constants of the simulated training cluster."""
 
-    flops_per_sec: float = 6.0e10  # 8-core Haswell with tuned kernels
-    net_bandwidth: float = 5.0e7   # bytes/s effective per-machine goodput
-    remote_access_cost: float = 10e-6  # seconds per remote sampling RPC
-    samp_edge_cost: float = 2e-6   # seconds per sampled edge (local work)
-    local_read_cost: float = 5e-8  # seconds per locally-read input vertex
-    update_cost: float = 1e-3      # optimizer step (paper: negligible)
-    mem_overhead: float = 2.0      # forward state + backward/grad buffers
-    machine_mem_bytes: float = 64e9  # paper: 64 GB per machine
+def mem_budget_bytes(scale: float) -> float:
+    """Per-machine memory budget scaled with the graph scale.
 
-    def mem_budget_bytes(self, scale: float) -> float:
-        """Per-machine memory budget scaled with the graph scale.
-
-        Vertex counts in the stand-in graphs scale by ``2 * scale`` (see
-        ``GraphSpec.sizes``), and per-machine memory is vertex-state-bound,
-        so the budget scales by the same factor to keep OOM verdicts
-        faithful to the paper's 64 GB machines.
-        """
-        return self.machine_mem_bytes * scale * 2
-
-    def net_seconds(self, n_bytes: float) -> float:
-        return n_bytes / self.net_bandwidth
-
-    def compute_seconds(self, flops: float) -> float:
-        return flops / self.flops_per_sec
+    Vertex counts in the stand-in graphs scale by ``2 * scale`` (see
+    ``GraphSpec.sizes``), and per-machine memory is vertex-state-bound,
+    so the budget scales by the same factor to keep OOM verdicts
+    faithful to the paper's 64 GB machines.
+    """
+    return MACHINE_MEM_BYTES * scale * 2
 
 
 #: Reading + parsing the on-disk graph is a fixed cost every native

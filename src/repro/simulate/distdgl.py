@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.gnn.layers import layer_flops
 from repro.gnn.sampling import EpochSamplingStats
-from repro.simulate.costmodel import BYTES_PER_SCALAR, ClusterModel
+from repro.simulate import costmodel
 from repro.simulate.distgnn import GNNConfig
 
 
@@ -43,26 +43,21 @@ class StepPhases:
         return self.sampling + self.feature_fetch + self.forward + self.backward + self.update
 
 
-def phase_times(
-    stats: EpochSamplingStats,
-    cfg: GNNConfig,
-    cluster: ClusterModel,
-    fanouts: tuple[int, ...],
-) -> StepPhases:
+def phase_times(stats: EpochSamplingStats, cfg: GNNConfig) -> StepPhases:
     """Simulated epoch phase times from measured sampling statistics."""
     ps = stats.per_step.copy()
     dims = cfg.dims()
-    L = len(fanouts)
+    L = stats.n_layers
 
     # --- per-(worker, step) sampling and fetch seconds.
     ps["t_samp"] = (
-        ps["sampled_edges"] * cluster.samp_edge_cost
-        + ps["remote_accesses"] * cluster.remote_access_cost
+        ps["sampled_edges"] * costmodel.SAMP_EDGE_COST
+        + ps["remote_accesses"] * costmodel.REMOTE_ACCESS_COST
     )
     local_inputs = ps["input_vertices"] - ps["remote_inputs"]
     ps["t_fetch"] = (
-        ps["remote_inputs"] * cfg.feature * BYTES_PER_SCALAR / cluster.net_bandwidth
-        + local_inputs * cluster.local_read_cost
+        ps["remote_inputs"] * cfg.feature * costmodel.BYTES_PER_SCALAR / costmodel.NET_BANDWIDTH
+        + local_inputs * costmodel.LOCAL_READ_COST
     )
 
     # --- forward flops per (worker, step): hop h edges feed compute layer
@@ -79,7 +74,7 @@ def phase_times(
         n = np.minimum(n_in, np.where(batch != 0, batch, e + 1))
         flops += layer_flops(cfg.kind, n, e, d_in, d_out)
     ps["flops"] = np.where(ps["sampled_edges"].to_numpy() > 0, flops, 0.0)
-    ps["t_fwd"] = ps["flops"] / cluster.flops_per_sec
+    ps["t_fwd"] = ps["flops"] / costmodel.FLOPS_PER_SEC
 
     # --- straggler per step for phases 1-3 (paper's straggler analysis).
     g = ps.groupby("step")
@@ -89,10 +84,10 @@ def phase_times(
 
     # --- backward: 2x forward (straggler) + per-step gradient all-reduce.
     model_scalars = sum(2 * a * b for a, b in zip(dims[:-1], dims[1:]))
-    allreduce = model_scalars * BYTES_PER_SCALAR / cluster.net_bandwidth
+    allreduce = model_scalars * costmodel.BYTES_PER_SCALAR / costmodel.NET_BANDWIDTH
     n_steps = stats.n_steps
     backward = 2.0 * forward + allreduce * n_steps
-    update = cluster.update_cost * n_steps
+    update = costmodel.UPDATE_COST * n_steps
     return StepPhases(
         sampling=sampling,
         feature_fetch=fetch,
@@ -104,4 +99,4 @@ def phase_times(
 
 def network_bytes(stats: EpochSamplingStats, cfg: GNNConfig) -> float:
     """Feature bytes crossing the network in one epoch (paper Fig 26b)."""
-    return float(stats.epoch_total("remote_inputs")) * cfg.feature * BYTES_PER_SCALAR
+    return float(stats.epoch_total("remote_inputs")) * cfg.feature * costmodel.BYTES_PER_SCALAR

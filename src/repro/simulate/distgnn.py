@@ -10,12 +10,13 @@ from the real partition assignment:
 * ``vertices[p]`` = ``|V(p)|`` — dense NN work and state held on machine p,
 * ``replicas[p]`` = ``|V(p)| - masters(p)`` — state synced via network.
 
-From these, the :class:`ClusterModel` derives epoch time (straggler
-compute + replica synchronization per layer), network bytes (∝ RF, the
-paper's Figure 3 correlation), memory per machine (features + per-layer
-intermediates for every held vertex — the paper's Figure 9/10 results and
-the replication-factor correlation), and OOM verdicts against the scaled
-64 GB budget (the paper's "DI cannot train under Random" observation).
+From these, the cluster model of :mod:`repro.simulate.costmodel` derives
+epoch time (straggler compute + replica synchronization per layer), network
+bytes (∝ RF, the paper's Figure 3 correlation), memory per machine
+(features + per-layer intermediates for every held vertex — the paper's
+Figure 9/10 results and the replication-factor correlation), and OOM
+verdicts against the scaled 64 GB budget (the paper's "DI cannot train
+under Random" observation).
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import numpy as np
 import pandas as pd
 
 from repro.gnn.layers import layer_flops
-from repro.simulate.costmodel import BYTES_PER_SCALAR, ClusterModel
+from repro.simulate import costmodel
 
 
 @dataclass(frozen=True)
@@ -109,13 +110,7 @@ class EpochMetrics:
         return float(self.mem_per_machine.max() / self.mem_per_machine.mean())
 
 
-def epoch_metrics(
-    stats: PartitionStats,
-    cfg: GNNConfig,
-    cluster: ClusterModel,
-    *,
-    scale: float,
-) -> EpochMetrics:
+def epoch_metrics(stats: PartitionStats, cfg: GNNConfig, *, scale: float) -> EpochMetrics:
     """Epoch time / network / memory for one configuration.
 
     Per layer l (d_in -> d_out): every machine computes aggregation over
@@ -135,25 +130,24 @@ def epoch_metrics(
             ]
         )
         # forward + backward ~ 3x forward flops
-        compute += cluster.compute_seconds(float(fl.max())) * 3.0
-        layer_bytes = stats.replicas * d_out * BYTES_PER_SCALAR * 2
-        comm += cluster.net_seconds(float(layer_bytes.max()))
+        compute += float(fl.max()) / costmodel.FLOPS_PER_SEC * 3.0
+        layer_bytes = stats.replicas * d_out * costmodel.BYTES_PER_SCALAR * 2
+        comm += float(layer_bytes.max()) / costmodel.NET_BANDWIDTH
         net_bytes += float(layer_bytes.sum())
     # Model/gradient all-reduce (small: model-sized).
     model_scalars = sum(2 * a * b for a, b in zip(dims[:-1], dims[1:]))
-    comm += cluster.net_seconds(model_scalars * BYTES_PER_SCALAR)
+    comm += model_scalars * costmodel.BYTES_PER_SCALAR / costmodel.NET_BANDWIDTH
 
-    state_per_vertex = (cfg.feature + cfg.hidden * cfg.layers) * BYTES_PER_SCALAR
+    state_per_vertex = (cfg.feature + cfg.hidden * cfg.layers) * costmodel.BYTES_PER_SCALAR
     mem = (
-        stats.vertices * state_per_vertex * cluster.mem_overhead
+        stats.vertices * state_per_vertex * costmodel.MEM_OVERHEAD
         + stats.edges * 16.0
     )
-    budget = cluster.mem_budget_bytes(scale)
     return EpochMetrics(
-        epoch_seconds=compute + comm + cluster.update_cost,
+        epoch_seconds=compute + comm + costmodel.UPDATE_COST,
         compute_seconds=compute,
         comm_seconds=comm,
         network_bytes=net_bytes,
         mem_per_machine=mem.astype(np.float64),
-        oom=bool(mem.max() > budget),
+        oom=bool(mem.max() > costmodel.mem_budget_bytes(scale)),
     )

@@ -7,6 +7,7 @@ from repro.graphs.datasets import generate, n_vertices_of
 from repro.graphs.generators import undirected_view
 from repro.partitioning.base import VERTEX_CUT, run_partitioner
 from repro.partitioning.edge.dbh import DBHPartitioner
+from repro.partitioning.edge import hdrf
 from repro.partitioning.edge.hdrf import HDRFPartitioner
 from repro.partitioning.edge.hep import HEPPartitioner, hep10, hep100
 from repro.partitioning.edge.random_ep import RandomEdgePartitioner, hash_to_part, splitmix64
@@ -188,13 +189,14 @@ class TestHDRF:
         rf, _, _ = _quality(a, 2)
         assert rf <= 1.4
 
-    def test_lambda_zero_ignores_balance(self, eu_graph):
+    def test_lambda_zero_ignores_balance(self, eu_graph, monkeypatch):
         edges, n = eu_graph
-        eb_lam0 = _quality(
-            run_partitioner(HDRFPartitioner(lam=0.0), edges, 8, n_vertices=n).assignment, 8
-        )[1]
         eb_lam = _quality(
-            run_partitioner(HDRFPartitioner(lam=1.1), edges, 8, n_vertices=n).assignment, 8
+            run_partitioner(HDRFPartitioner(), edges, 8, n_vertices=n).assignment, 8
+        )[1]
+        monkeypatch.setattr(hdrf, "LAM", 0.0)
+        eb_lam0 = _quality(
+            run_partitioner(HDRFPartitioner(), edges, 8, n_vertices=n).assignment, 8
         )[1]
         assert eb_lam <= eb_lam0 + 1e-9
 
@@ -210,6 +212,18 @@ class TestHEP:
             run_partitioner(HEPPartitioner(tau=100.0), edges, 8, n_vertices=n).assignment, 8
         )[0]
         assert rf_mem < rf_stream
+
+    @pytest.mark.parametrize("k", [4, 8])
+    @pytest.mark.parametrize("graph", ["EU", "OR", "DI"])
+    def test_tau_zero_streams_everything_like_hdrf(self, graph, k):
+        # At tau=0 every vertex with an edge is high-degree, so the NE phase
+        # gets no edge and HEP is HDRF's stream from empty state.
+        edges = undirected_view(generate(graph, scale=1e-4, seed=0))
+        n = n_vertices_of(edges)
+        np.testing.assert_array_equal(
+            HEPPartitioner(tau=0.0).assign(edges, k, n_vertices=n, seed=0),
+            HDRFPartitioner().assign(edges, k, n_vertices=n, seed=0),
+        )
 
     def test_hep_name_includes_tau(self):
         assert hep10().name == "HEP10"

@@ -9,37 +9,37 @@ from repro.graphs.datasets import GRAPHS, generate, n_vertices_of, split_vertice
 
 class TestDcsbmPowerlaw:
     def test_edge_count_close_to_target(self):
-        df = generators.dcsbm_powerlaw(n_vertices=500, n_edges=5000, seed=1)
+        df, _ = generators.dcsbm_powerlaw(n_vertices=500, n_edges=5000, seed=1)
         assert 0.9 * 5000 <= len(df) <= 5000
 
     def test_simple_graph_no_self_loops(self):
-        df = generators.dcsbm_powerlaw(n_vertices=300, n_edges=3000, seed=2)
+        df, _ = generators.dcsbm_powerlaw(n_vertices=300, n_edges=3000, seed=2)
         assert (df["src"] != df["dst"]).all()
 
     def test_simple_graph_no_duplicates(self):
-        df = generators.dcsbm_powerlaw(n_vertices=300, n_edges=3000, seed=3)
+        df, _ = generators.dcsbm_powerlaw(n_vertices=300, n_edges=3000, seed=3)
         assert not df.duplicated(["src", "dst"]).any()
 
     def test_undirected_canonical_orientation(self):
-        df = generators.dcsbm_powerlaw(n_vertices=300, n_edges=2000, directed=False, seed=4)
+        df, _ = generators.dcsbm_powerlaw(n_vertices=300, n_edges=2000, directed=False, seed=4)
         assert (df["src"] < df["dst"]).all()
 
     def test_directed_has_both_orientations(self):
-        df = generators.dcsbm_powerlaw(n_vertices=300, n_edges=4000, directed=True, seed=5)
+        df, _ = generators.dcsbm_powerlaw(n_vertices=300, n_edges=4000, directed=True, seed=5)
         assert (df["src"] > df["dst"]).any() and (df["src"] < df["dst"]).any()
 
     def test_deterministic_in_seed(self):
-        a = generators.dcsbm_powerlaw(n_vertices=200, n_edges=1000, seed=9)
-        b = generators.dcsbm_powerlaw(n_vertices=200, n_edges=1000, seed=9)
+        a, _ = generators.dcsbm_powerlaw(n_vertices=200, n_edges=1000, seed=9)
+        b, _ = generators.dcsbm_powerlaw(n_vertices=200, n_edges=1000, seed=9)
         pd.testing.assert_frame_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = generators.dcsbm_powerlaw(n_vertices=200, n_edges=1000, seed=9)
-        b = generators.dcsbm_powerlaw(n_vertices=200, n_edges=1000, seed=10)
+        a, _ = generators.dcsbm_powerlaw(n_vertices=200, n_edges=1000, seed=9)
+        b, _ = generators.dcsbm_powerlaw(n_vertices=200, n_edges=1000, seed=10)
         assert not a.equals(b)
 
     def test_degree_distribution_is_skewed(self):
-        df = generators.dcsbm_powerlaw(n_vertices=1000, n_edges=10000, gamma=2.1, seed=6)
+        df, _ = generators.dcsbm_powerlaw(n_vertices=1000, n_edges=10000, gamma=2.1, seed=6)
         deg = pd.concat([df["src"], df["dst"]]).value_counts()
         assert deg.max() / deg.mean() > 5  # power-law hub exists
 
@@ -51,7 +51,6 @@ class TestDcsbmPowerlaw:
                 mixing=mixing,
                 n_communities=12,
                 seed=7,
-                return_communities=True,
             )
             return (comm[df["src"]] == comm[df["dst"]]).mean()
 

@@ -13,7 +13,6 @@ from repro.exp.harness import (
 )
 from repro.partitioning.base import run_partitioner
 from repro.partitioning.registry import make_vertex_partitioner
-from repro.simulate.distgnn import GNNConfig
 
 SCALE = 1e-4
 
@@ -43,7 +42,6 @@ def gnn_suite():
     return run_distgnn_suite(
         graphs=("EU",),
         ks=(4, 8),
-        configs=[GNNConfig(64, 64, 2), GNNConfig(512, 64, 3)],
         scale=SCALE,
         seed=0,
     )
@@ -76,8 +74,8 @@ class TestHyperGrid:
 
 class TestDistGNNSuite:
     def test_row_count(self, gnn_suite):
-        # 1 graph x 2 ks x 6 partitioners x 2 configs
-        assert len(gnn_suite) == 24
+        # 1 graph x 2 ks x 6 partitioners x 27 configs (paper Table 3)
+        assert len(gnn_suite) == 324
 
     def test_columns(self, gnn_suite):
         assert sorted(gnn_suite.columns) == sorted(GNN_COLUMNS)

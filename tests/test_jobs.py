@@ -16,7 +16,6 @@ import table5_distdgl_amortization
 from repro.exp import harness
 from repro.exp.harness import run_distdgl_suite, run_distgnn_suite
 from repro.partitioning.base import run_partitioner
-from repro.simulate.distgnn import GNNConfig
 
 SCALE = 1e-4
 
@@ -37,7 +36,7 @@ class TestFig2Job:
 
     @pytest.fixture(scope="class")
     def out(self):
-        suite = run_distgnn_suite(ks=(4,), configs=[GNNConfig(512, 64, 3)], scale=SCALE)
+        suite = run_distgnn_suite(ks=(4,), scale=SCALE)
         return table4_distgnn_amortization.fig2_tables(suite)
 
     def test_quality_columns(self, out):

@@ -75,3 +75,79 @@ def test_every_public_name_is_used_outside_its_tests():
             ):
                 unused.append(f"{_module_name(path)}.{d.name}")
     assert unused == []
+
+
+def _keywords(path: Path) -> list[tuple[str, int]]:
+    """(name, line) of every keyword argument passed in ``path``."""
+    return [
+        (node.arg, node.lineno)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.keyword) and node.arg is not None
+    ]
+
+
+def _defaults(fn: ast.FunctionDef) -> list[str]:
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    return [arg.arg for arg in positional[len(positional) - len(a.defaults):]] + [
+        arg.arg for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None
+    ]
+
+
+def _init_fields(cls: ast.ClassDef) -> list[str]:
+    """Defaulted fields ``__init__`` takes, if ``cls`` is a dataclass."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+        return []
+    return [
+        stmt.target.id
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+        and not (
+            isinstance(stmt.value, ast.Call)
+            and any(
+                kw.arg == "init" and getattr(kw.value, "value", None) is False
+                for kw in stmt.value.keywords
+            )
+        )
+    ]
+
+
+def _defaulted(tree: ast.Module):
+    """(owner node, owner name, parameter) of every defaulted parameter of a
+    public function, public method or ``__init__``, and of every defaulted
+    dataclass field ``__init__`` takes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield from ((node, node.name, a) for a in _defaults(node))
+        elif isinstance(node, ast.ClassDef):
+            yield from ((node, node.name, f) for f in _init_fields(node))
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and (
+                    not fn.name.startswith("_") or fn.name == "__init__"
+                ):
+                    yield from ((fn, f"{node.name}.{fn.name}", a) for a in _defaults(fn))
+
+
+def test_every_defaulted_parameter_is_set_outside_its_tests():
+    """A default that no job, benchmark or library call overrides is a knob
+    only tests turn: it belongs in a module constant. Heuristic: a keyword
+    argument of the same name anywhere outside the owner counts as a use."""
+    kws = {
+        p: _keywords(p)
+        for d in ("src", "jobs", "perfbench")
+        for p in (ROOT / d).rglob("*.py")
+    }
+    unset = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        if _module_name(path) in TEST_ONLY:
+            continue
+        for owner, qualname, param in _defaulted(ast.parse(path.read_text())):
+            if not any(
+                name == param
+                and not (p == path and owner.lineno <= line <= owner.end_lineno)
+                for p, ks in kws.items()
+                for name, line in ks
+            ):
+                unset.append(f"{_module_name(path)}.{qualname}({param})")
+    assert unset == []

@@ -2,6 +2,7 @@
 import pandas as pd
 import pytest
 
+from repro.graphs.datasets import split_vertices
 from repro.partitioning.base import EDGE_CUT, VERTEX_CUT
 from repro.partitioning.registry import (
     EDGE_PARTITIONERS,
@@ -61,6 +62,7 @@ class TestDegenerateInputs:
     """k=1 and tiny graphs must behave for every algorithm."""
 
     TRIANGLE = pd.DataFrame({"src": [0, 0, 1], "dst": [1, 2, 2]})
+    SPLIT = split_vertices(3)
 
     @pytest.mark.parametrize("name", list(EDGE_PARTITIONERS))
     def test_edge_partitioner_k1(self, name):
@@ -72,7 +74,7 @@ class TestDegenerateInputs:
     @pytest.mark.parametrize("name", list(VERTEX_PARTITIONERS))
     def test_vertex_partitioner_k1(self, name):
         parts = make_vertex_partitioner(name).assign(
-            self.TRIANGLE, 1, n_vertices=3, seed=0
+            self.TRIANGLE, 1, n_vertices=3, seed=0, split=self.SPLIT
         )
         assert (parts == 0).all()
 
@@ -87,7 +89,7 @@ class TestDegenerateInputs:
     @pytest.mark.parametrize("name", list(VERTEX_PARTITIONERS))
     def test_vertex_partitioner_more_parts_than_vertices(self, name):
         parts = make_vertex_partitioner(name).assign(
-            self.TRIANGLE, 8, n_vertices=3, seed=0
+            self.TRIANGLE, 8, n_vertices=3, seed=0, split=self.SPLIT
         )
         assert len(parts) == 3
         assert parts.min() >= 0 and parts.max() < 8

@@ -27,7 +27,7 @@ from repro.gnn.sampling import (
 from repro.partitioning.base import run_partitioner
 from repro.partitioning.vertex.metis_like import MetisLikePartitioner
 from repro.partitioning.vertex.random_vp import RandomVertexPartitioner
-from repro.simulate.costmodel import BYTES_PER_SCALAR, ClusterModel
+from repro.simulate import costmodel as cm
 from repro.simulate.distdgl import StepPhases, phase_times
 from repro.simulate.distgnn import GNNConfig
 
@@ -408,19 +408,19 @@ def _per_step_reference(seeds, sampled, owner_of, n_layers):
     return per_step
 
 
-def _phase_times_reference(stats, cfg, cluster, fanouts):
+def _phase_times_reference(stats, cfg):
     """Per-(worker, step) loop form of ``distdgl.phase_times``."""
     ps = stats.per_step.copy()
     dims = cfg.dims()
-    L = len(fanouts)
+    L = stats.n_layers
     ps["t_samp"] = (
-        ps["sampled_edges"] * cluster.samp_edge_cost
-        + ps["remote_accesses"] * cluster.remote_access_cost
+        ps["sampled_edges"] * cm.SAMP_EDGE_COST
+        + ps["remote_accesses"] * cm.REMOTE_ACCESS_COST
     )
     local_inputs = ps["input_vertices"] - ps["remote_inputs"]
     ps["t_fetch"] = (
-        ps["remote_inputs"] * cfg.feature * BYTES_PER_SCALAR / cluster.net_bandwidth
-        + local_inputs * cluster.local_read_cost
+        ps["remote_inputs"] * cfg.feature * cm.BYTES_PER_SCALAR / cm.NET_BANDWIDTH
+        + local_inputs * cm.LOCAL_READ_COST
     )
     per_layer = (
         stats.sampled.groupby(["worker", "step", "layer"]).size().rename("n").reset_index()
@@ -440,17 +440,17 @@ def _phase_times_reference(stats, cfg, cluster, fanouts):
     ps = ps.merge(pd.DataFrame(flop_rows), on=["worker", "step"], how="left").fillna(
         {"flops": 0.0}
     )
-    ps["t_fwd"] = ps["flops"] / cluster.flops_per_sec
+    ps["t_fwd"] = ps["flops"] / cm.FLOPS_PER_SEC
     g = ps.groupby("step")
     forward = float(g["t_fwd"].max().sum())
     model_scalars = sum(2 * a * b for a, b in zip(dims[:-1], dims[1:]))
-    allreduce = model_scalars * BYTES_PER_SCALAR / cluster.net_bandwidth
+    allreduce = model_scalars * cm.BYTES_PER_SCALAR / cm.NET_BANDWIDTH
     return StepPhases(
         sampling=float(g["t_samp"].max().sum()),
         feature_fetch=float(g["t_fetch"].max().sum()),
         forward=forward,
         backward=2.0 * forward + allreduce * stats.n_steps,
-        update=cluster.update_cost * stats.n_steps,
+        update=cm.UPDATE_COST * stats.n_steps,
     )
 
 
@@ -480,9 +480,6 @@ class TestVectorisedReductions:
     @pytest.mark.parametrize("global_batch", [64, 0])
     def test_phase_times_match_loop_reference(self, stats, kind, global_batch):
         stats = dataclasses.replace(stats, global_batch=global_batch)
-        cluster = ClusterModel()
         for f, h in [(16, 16), (64, 512), (512, 64)]:
             cfg = GNNConfig(feature=f, hidden=h, layers=3, kind=kind)
-            assert phase_times(stats, cfg, cluster, FANOUTS[3]) == _phase_times_reference(
-                stats, cfg, cluster, FANOUTS[3]
-            )
+            assert phase_times(stats, cfg) == _phase_times_reference(stats, cfg)

@@ -9,13 +9,8 @@ from repro.partitioning.edge.hep import hep100
 from repro.partitioning.edge.random_ep import RandomEdgePartitioner
 from repro.partitioning.registry import make_vertex_partitioner
 from repro.simulate import amortization, distdgl, distgnn
-from repro.simulate.costmodel import (
-    PYTHON_PENALTY,
-    ClusterModel,
-    normalized_partition_seconds,
-)
+from repro.simulate.costmodel import PYTHON_PENALTY, normalized_partition_seconds
 
-CLUSTER = ClusterModel()
 SCALE = 1e-4
 
 
@@ -74,8 +69,8 @@ class TestDistGNNEpochMetrics:
         for _, _, rnd, hep in (eu_runs, or_runs):
             st_r = distgnn.partition_stats(rnd.assignment, 8)
             st_h = distgnn.partition_stats(hep.assignment, 8)
-            m_r = distgnn.epoch_metrics(st_r, self.cfg(), CLUSTER, scale=SCALE)
-            m_h = distgnn.epoch_metrics(st_h, self.cfg(), CLUSTER, scale=SCALE)
+            m_r = distgnn.epoch_metrics(st_r, self.cfg(), scale=SCALE)
+            m_h = distgnn.epoch_metrics(st_h, self.cfg(), scale=SCALE)
             assert m_h.epoch_seconds < m_r.epoch_seconds
             assert m_h.network_bytes < m_r.network_bytes
             assert m_h.mem_per_machine.max() < m_r.mem_per_machine.max()
@@ -84,17 +79,17 @@ class TestDistGNNEpochMetrics:
         # The paper's Figure 3 correlation is structural in the simulator.
         _, _, rnd, _ = eu_runs
         st = distgnn.partition_stats(rnd.assignment, 8)
-        m1 = distgnn.epoch_metrics(st, self.cfg(hidden=16), CLUSTER, scale=SCALE)
-        m2 = distgnn.epoch_metrics(st, self.cfg(hidden=32), CLUSTER, scale=SCALE)
+        m1 = distgnn.epoch_metrics(st, self.cfg(hidden=16), scale=SCALE)
+        m2 = distgnn.epoch_metrics(st, self.cfg(hidden=32), scale=SCALE)
         # doubling hidden dim ~ doubles synced bytes (2 of 2 layers hidden-sized)
         assert m2.network_bytes == pytest.approx(2 * m1.network_bytes, rel=0.01)
 
     def test_memory_grows_with_feature_and_layers(self, eu_runs):
         _, _, rnd, _ = eu_runs
         st = distgnn.partition_stats(rnd.assignment, 8)
-        base = distgnn.epoch_metrics(st, self.cfg(), CLUSTER, scale=SCALE)
-        big_f = distgnn.epoch_metrics(st, self.cfg(feature=512), CLUSTER, scale=SCALE)
-        more_l = distgnn.epoch_metrics(st, self.cfg(layers=4), CLUSTER, scale=SCALE)
+        base = distgnn.epoch_metrics(st, self.cfg(), scale=SCALE)
+        big_f = distgnn.epoch_metrics(st, self.cfg(feature=512), scale=SCALE)
+        more_l = distgnn.epoch_metrics(st, self.cfg(layers=4), scale=SCALE)
         assert big_f.mem_per_machine.max() > base.mem_per_machine.max()
         assert more_l.mem_per_machine.max() > base.mem_per_machine.max()
 
@@ -103,24 +98,23 @@ class TestDistGNNEpochMetrics:
         # feature sizes where vertex state dominates the edge structure).
         _, _, _, hep = eu_runs
         st = distgnn.partition_stats(hep.assignment, 8)
-        m = distgnn.epoch_metrics(st, self.cfg(feature=512), CLUSTER, scale=SCALE)
+        m = distgnn.epoch_metrics(st, self.cfg(feature=512), scale=SCALE)
         assert m.mem_balance == pytest.approx(st.vertex_balance, rel=0.1)
 
     def test_oom_flag_respects_budget(self, eu_runs):
         _, _, rnd, _ = eu_runs
         st = distgnn.partition_stats(rnd.assignment, 8)
-        tight = ClusterModel(machine_mem_bytes=1.0)  # impossible budget
-        m = distgnn.epoch_metrics(st, self.cfg(), tight, scale=SCALE)
-        assert m.oom
-        roomy = ClusterModel(machine_mem_bytes=1e18)
-        assert not distgnn.epoch_metrics(st, self.cfg(), roomy, scale=SCALE).oom
+        # The budget scales with the graph scale: a vanishing scale leaves
+        # no memory, a huge one more than any partition needs.
+        assert distgnn.epoch_metrics(st, self.cfg(), scale=1e-20).oom
+        assert not distgnn.epoch_metrics(st, self.cfg(), scale=1e9).oom
 
     def test_comm_dominates_for_random(self, eu_runs):
         # DistGNN is communication-bound under poor partitioning — the
         # precondition for the paper's large speedups.
         _, _, rnd, _ = eu_runs
         st = distgnn.partition_stats(rnd.assignment, 8)
-        m = distgnn.epoch_metrics(st, self.cfg(feature=512, hidden=64), CLUSTER, scale=SCALE)
+        m = distgnn.epoch_metrics(st, self.cfg(feature=512, hidden=64), scale=SCALE)
         assert m.comm_seconds > m.compute_seconds
 
 
@@ -146,7 +140,7 @@ class TestDistDGLPhases:
         return distgnn.GNNConfig(**base)
 
     def test_phases_positive_and_sum(self, sampled):
-        ph = distdgl.phase_times(sampled, self.cfg(), CLUSTER, FANOUTS[3])
+        ph = distdgl.phase_times(sampled, self.cfg())
         for v in (ph.sampling, ph.feature_fetch, ph.forward, ph.backward, ph.update):
             assert v > 0
         assert ph.epoch_seconds == pytest.approx(
@@ -155,21 +149,21 @@ class TestDistDGLPhases:
 
     def test_fetch_grows_with_feature_sampling_constant(self, sampled):
         # Paper Fig 19a: feature size moves only the fetch phase.
-        small = distdgl.phase_times(sampled, self.cfg(feature=16), CLUSTER, FANOUTS[3])
-        big = distdgl.phase_times(sampled, self.cfg(feature=512), CLUSTER, FANOUTS[3])
+        small = distdgl.phase_times(sampled, self.cfg(feature=16))
+        big = distdgl.phase_times(sampled, self.cfg(feature=512))
         assert big.feature_fetch > 5 * small.feature_fetch
         assert big.sampling == pytest.approx(small.sampling)
 
     def test_fetch_dominates_sampling_at_512(self, sampled):
         # Paper: crossover between f=64 and f=512 on skewed graphs.
-        ph = distdgl.phase_times(sampled, self.cfg(feature=512), CLUSTER, FANOUTS[3])
+        ph = distdgl.phase_times(sampled, self.cfg(feature=512))
         assert ph.feature_fetch > ph.sampling
-        ph16 = distdgl.phase_times(sampled, self.cfg(feature=16), CLUSTER, FANOUTS[3])
+        ph16 = distdgl.phase_times(sampled, self.cfg(feature=16))
         assert ph16.sampling > ph16.feature_fetch
 
     def test_hidden_dim_moves_only_compute(self, sampled):
-        small = distdgl.phase_times(sampled, self.cfg(hidden=16), CLUSTER, FANOUTS[3])
-        big = distdgl.phase_times(sampled, self.cfg(hidden=512), CLUSTER, FANOUTS[3])
+        small = distdgl.phase_times(sampled, self.cfg(hidden=16))
+        big = distdgl.phase_times(sampled, self.cfg(hidden=512))
         assert big.forward > small.forward
         assert big.sampling == pytest.approx(small.sampling)
         assert big.feature_fetch == pytest.approx(small.feature_fetch)

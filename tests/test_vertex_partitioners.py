@@ -7,6 +7,7 @@ from repro.graphs.datasets import generate, n_vertices_of, split_vertices
 from repro.graphs.generators import undirected_view
 from repro.partitioning.base import EDGE_CUT, run_partitioner
 from repro.partitioning.registry import VERTEX_PARTITIONERS, make_vertex_partitioner
+from repro.partitioning.vertex import spinner
 from repro.partitioning.vertex.bytegnn import ByteGNNPartitioner
 from repro.partitioning.vertex.kahip_like import KaHIPLikePartitioner
 from repro.partitioning.vertex.ldg import LDGPartitioner
@@ -30,6 +31,11 @@ def eu_graph():
 
 
 @pytest.fixture(scope="module")
+def eu_split(eu_graph):
+    return split_vertices(eu_graph[1], seed=7)
+
+
+@pytest.fixture(scope="module")
 def di_graph():
     edges = undirected_view(generate("DI", scale=1e-4, seed=0))
     return edges, n_vertices_of(edges)
@@ -49,33 +55,41 @@ def _vb(assignment, k):
 
 @pytest.mark.parametrize("name", list(VERTEX_PARTITIONERS))
 class TestCommonProperties:
-    def test_every_vertex_assigned_in_range(self, eu_graph, name):
+    def test_every_vertex_assigned_in_range(self, eu_graph, eu_split, name):
         edges, n = eu_graph
-        parts = make_vertex_partitioner(name).assign(edges, 4, n_vertices=n, seed=0)
+        parts = make_vertex_partitioner(name).assign(
+            edges, 4, n_vertices=n, seed=0, split=eu_split
+        )
         assert len(parts) == n
         assert parts.min() >= 0 and parts.max() < 4
 
-    def test_deterministic(self, eu_graph, name):
+    def test_deterministic(self, eu_graph, eu_split, name):
         edges, n = eu_graph
-        a = make_vertex_partitioner(name).assign(edges, 4, n_vertices=n, seed=1)
-        b = make_vertex_partitioner(name).assign(edges, 4, n_vertices=n, seed=1)
+        a = make_vertex_partitioner(name).assign(edges, 4, n_vertices=n, seed=1, split=eu_split)
+        b = make_vertex_partitioner(name).assign(edges, 4, n_vertices=n, seed=1, split=eu_split)
         np.testing.assert_array_equal(a, b)
 
-    def test_run_partitioner_metadata(self, eu_graph, name):
+    def test_run_partitioner_metadata(self, eu_graph, eu_split, name):
         edges, n = eu_graph
-        run = run_partitioner(make_vertex_partitioner(name), edges, 4, n_vertices=n)
+        run = run_partitioner(
+            make_vertex_partitioner(name), edges, 4, n_vertices=n, split=eu_split
+        )
         assert run.cut_type == EDGE_CUT
         assert list(run.assignment.columns) == ["vertex", "part"]
         assert len(run.assignment) == n
 
-    def test_vertex_balance_reasonable(self, eu_graph, name):
+    def test_vertex_balance_reasonable(self, eu_graph, eu_split, name):
         edges, n = eu_graph
-        run = run_partitioner(make_vertex_partitioner(name), edges, 8, n_vertices=n)
+        run = run_partitioner(
+            make_vertex_partitioner(name), edges, 8, n_vertices=n, split=eu_split
+        )
         assert _vb(run.assignment, 8) <= 1.6, name
 
-    def test_beats_or_ties_random_cut(self, eu_graph, name):
+    def test_beats_or_ties_random_cut(self, eu_graph, eu_split, name):
         edges, n = eu_graph
-        run = run_partitioner(make_vertex_partitioner(name), edges, 8, n_vertices=n)
+        run = run_partitioner(
+            make_vertex_partitioner(name), edges, 8, n_vertices=n, split=eu_split
+        )
         rnd = run_partitioner(RandomVertexPartitioner(), edges, 8, n_vertices=n)
         assert _cut_ratio(edges, run.assignment) <= _cut_ratio(edges, rnd.assignment) + 0.02
 
@@ -97,7 +111,7 @@ class TestCutOrdering:
         # Paper: KaHIP reaches < 0.001 on DI while Random is ~0.68.
         edges, n = di_graph
         cut_kahip = _cut_ratio(
-            edges, run_partitioner(KaHIPLikePartitioner(restarts=2), edges, 8, n_vertices=n).assignment
+            edges, run_partitioner(KaHIPLikePartitioner(), edges, 8, n_vertices=n).assignment
         )
         cut_metis = _cut_ratio(
             edges, run_partitioner(MetisLikePartitioner(), edges, 8, n_vertices=n).assignment
@@ -165,15 +179,14 @@ class TestSpinner:
         run = run_partitioner(SpinnerPartitioner(), edges, 8, n_vertices=n)
         assert _vb(run.assignment, 8) <= 1.1
 
-    def test_more_iterations_do_not_hurt(self, eu_graph):
+    def test_more_iterations_do_not_hurt(self, eu_graph, monkeypatch):
         edges, n = eu_graph
-        c1 = _cut_ratio(
-            edges,
-            run_partitioner(SpinnerPartitioner(iterations=1), edges, 8, n_vertices=n).assignment,
-        )
         c15 = _cut_ratio(
-            edges,
-            run_partitioner(SpinnerPartitioner(iterations=15), edges, 8, n_vertices=n).assignment,
+            edges, run_partitioner(SpinnerPartitioner(), edges, 8, n_vertices=n).assignment
+        )
+        monkeypatch.setattr(spinner, "ITERATIONS", 1)
+        c1 = _cut_ratio(
+            edges, run_partitioner(SpinnerPartitioner(), edges, 8, n_vertices=n).assignment
         )
         assert c15 <= c1 + 0.02
 
@@ -241,30 +254,27 @@ class TestMultilevel:
 
 
 class TestByteGNN:
-    def test_train_vertex_balance_is_tight(self, eu_graph):
+    def test_train_vertex_balance_is_tight(self, eu_graph, eu_split):
         edges, n = eu_graph
-        split = split_vertices(n, seed=7)
-        run = run_partitioner(ByteGNNPartitioner(), edges, 8, n_vertices=n, split=split)
-        train = split.loc[split["role"] == "train", "vertex"]
+        run = run_partitioner(ByteGNNPartitioner(), edges, 8, n_vertices=n, split=eu_split)
+        train = eu_split.loc[eu_split["role"] == "train", "vertex"]
         part = run.assignment.set_index("vertex")["part"]
         tl = part[train].value_counts().reindex(range(8), fill_value=0)
         assert tl.max() / tl.mean() <= 1.25
 
-    def test_works_without_split(self, eu_graph):
+    def test_requires_split(self, eu_graph):
         edges, n = eu_graph
-        parts = ByteGNNPartitioner().assign(edges, 4, n_vertices=n, seed=0)
-        assert len(parts) == n
+        with pytest.raises(ValueError, match="split"):
+            ByteGNNPartitioner().assign(edges, 4, n_vertices=n, seed=0)
 
 
 class TestKaHIP:
     def test_more_restarts_never_worse(self, eu_graph):
+        # KaHIP's restart 0 at seed 0 is this one multilevel FM run.
         edges, n = eu_graph
-        c1 = _cut_ratio(
-            edges,
-            run_partitioner(KaHIPLikePartitioner(restarts=1), edges, 4, n_vertices=n).assignment,
-        )
-        c4 = _cut_ratio(
-            edges,
-            run_partitioner(KaHIPLikePartitioner(restarts=4), edges, 4, n_vertices=n).assignment,
-        )
-        assert c4 <= c1
+        eu = edges["src"].to_numpy(np.int64)
+        ev = edges["dst"].to_numpy(np.int64)
+        ew = np.ones(len(eu))
+        restart0 = multilevel_partition(eu, ev, n, 4, seed=0, refiner="fm")
+        kahip = KaHIPLikePartitioner().assign(edges, 4, n_vertices=n, seed=0)
+        assert cut_weight(eu, ev, ew, kahip) <= cut_weight(eu, ev, ew, restart0)
