@@ -11,7 +11,8 @@ the phase-time decomposition built on top of them.
 The sampler runs on the driver, as DistDGL samples from in-memory CSR
 partitions: each hop expands every (worker, step, vertex) frontier row to
 its neighbours in the CSR adjacency (``indptr``, ``indices``) and keeps
-``fanout`` of them; the per-step statistics are then reduced with numpy.
+``fanout`` of them; the per-step statistics are counted from the final
+frontier, whose keys carry the depth each vertex was first reached at.
 
 * **Hash-ordered.** The neighbors kept are the ``fanout`` smallest by
   ``xxhash64(seed, layer, worker, step, src, dst)`` as a signed long, ties
@@ -73,8 +74,8 @@ class EpochSamplingStats:
     k: int
     n_layers: int
     global_batch: int
-    # columns: worker, step, sampled_edges, input_vertices, remote_inputs,
-    # remote_accesses
+    # columns: worker, step, input_vertices, remote_inputs, remote_accesses,
+    # sampled_edges
     per_step: pd.DataFrame
     # raw sampled edges: worker, step, src, dst, layer
     sampled: pd.DataFrame
@@ -295,12 +296,15 @@ def sample_epoch(
     """
     k = int(owner_of.max()) + 1 if len(owner_of) else 1
     n = len(indptr) - 1
+    n_layers = len(fanouts)
     n_steps = int(seeds["step"].max()) + 1
-    # Frontier rows as sorted distinct keys (worker * n_steps + step) * n + vertex.
+    # Frontier rows as sorted distinct keys (worker * n_steps + step) * n + vertex;
+    # ``depth`` is when each was first reached: 0 for a seed, l + 1 by layer l.
     frontier = np.unique(
         (seeds["worker"].to_numpy(np.int64) * n_steps + seeds["step"].to_numpy(np.int64)) * n
         + seeds["vertex"].to_numpy(np.int64)
     )
+    depth = np.zeros(len(frontier), dtype=np.int64)
     hops = []
     for layer, fan in enumerate(fanouts):
         group, src = np.divmod(frontier, n)
@@ -308,85 +312,52 @@ def sample_epoch(
             indptr, indices, group // n_steps, group % n_steps, src, seed, layer, fan
         )
         hops.append((group[row], src[row], dst))
-        if layer + 1 < len(fanouts):
-            frontier = np.union1d(frontier, group[row] * n + dst)
-    group = np.concatenate([g for g, _, _ in hops])
+        # The old keys come first, so an old key's first index keeps its depth.
+        frontier, first = np.unique(
+            np.concatenate([frontier, group[row] * n + dst]), return_index=True
+        )
+        depth = np.concatenate([depth, np.full(len(row), layer + 1)])[first]
+    hop_group = np.concatenate([g for g, _, _ in hops])
+    hop_layer = np.repeat(np.arange(n_layers, dtype=np.int32), [len(d) for _, _, d in hops])
     sampled = pd.DataFrame(
         {
-            "worker": group // n_steps,
-            "step": group % n_steps,
+            "worker": hop_group // n_steps,
+            "step": hop_group % n_steps,
             "src": np.concatenate([s for _, s, _ in hops]),
             "dst": np.concatenate([d for _, _, d in hops]),
-            "layer": np.repeat(
-                np.arange(len(fanouts), dtype=np.int32), [len(d) for _, _, d in hops]
-            ),
+            "layer": hop_layer,
         },
         copy=False,
     )
-    del hops, group  # free the per-hop pieces before the reduction
-    return _stats_from_sampled(
-        seeds, sampled, owner_of, len(fanouts), k, global_batch or 0
-    )
+    del hops  # free the per-hop pieces before the reduction
 
-
-def _stats_from_sampled(
-    seeds: pd.DataFrame,
-    sampled: pd.DataFrame,
-    owner_of: np.ndarray,
-    n_layers: int,
-    k: int,
-    global_batch: int,
-) -> EpochSamplingStats:
-    """Numpy reduction of the sampled-edge table into per-step statistics.
-
-    A vertex first reached at frontier-depth ``f`` (seeds: f=0; a neighbor
-    sampled in layer l: f=l+1) is part of the sampling frontier for layers
-    f..n_layers-1, so a *remote* vertex incurs ``n_layers - f`` remote
-    sampling accesses, and every remote input vertex incurs one feature
-    fetch.
-    """
-    first = pd.concat(
-        [
-            seeds.assign(first=0)[["worker", "step", "vertex", "first"]],
-            sampled.rename(columns={"dst": "vertex"}).assign(
-                first=lambda d: d["layer"] + 1
-            )[["worker", "step", "vertex", "first"]],
-        ],
-        ignore_index=True,
-    )
-    first = first.groupby(["worker", "step", "vertex"], as_index=False)["first"].min()
-    first["remote"] = (
-        owner_of[first["vertex"].to_numpy()] != first["worker"].to_numpy()
-    )
-    first["remote_accesses"] = (
-        np.maximum(0, n_layers - first["first"].to_numpy()) * first["remote"].to_numpy()
-    )
-    per_step = (
-        first.groupby(["worker", "step"])
-        .agg(
-            input_vertices=("vertex", "size"),
-            remote_inputs=("remote", "sum"),
-            remote_accesses=("remote_accesses", "sum"),
-        )
-        .reset_index()
-    )
-    # Sampled edges per (per_step row, hop): per_step rows are sorted by
-    # (worker, step), and every sampled row's (worker, step) has seeds.
-    n_steps = int(per_step["step"].max()) + 1 if len(per_step) else 0
-    row_key = per_step["worker"].to_numpy() * n_steps + per_step["step"].to_numpy()
-    row = np.searchsorted(
-        row_key, sampled["worker"].to_numpy() * n_steps + sampled["step"].to_numpy()
-    )
+    # The final frontier is the input vertices. A remote one is in the
+    # sampling frontier of layers depth..n_layers-1, so it costs
+    # n_layers - depth remote sampling accesses, and one feature fetch.
+    group, vertex = np.divmod(frontier, n)
+    groups, at = np.unique(group, return_inverse=True)
+    remote = owner_of[vertex] != group // n_steps
+    remote_by_depth = np.bincount(
+        at[remote] * (n_layers + 1) + depth[remote], minlength=len(groups) * (n_layers + 1)
+    ).reshape(len(groups), n_layers + 1)
     hop_edges = np.bincount(
-        row * n_layers + sampled["layer"].to_numpy(),
-        minlength=len(per_step) * n_layers,
-    ).reshape(len(per_step), n_layers)
-    per_step["sampled_edges"] = hop_edges.sum(axis=1).astype(np.int64)
-    per_step["remote_inputs"] = per_step["remote_inputs"].astype(np.int64)
+        np.searchsorted(groups, hop_group) * n_layers + hop_layer,
+        minlength=len(groups) * n_layers,
+    ).reshape(len(groups), n_layers)
+    per_step = pd.DataFrame(
+        {
+            "worker": groups // n_steps,
+            "step": groups % n_steps,
+            "input_vertices": np.bincount(at, minlength=len(groups)),
+            "remote_inputs": remote_by_depth.sum(axis=1),
+            "remote_accesses": remote_by_depth @ np.arange(n_layers, -1, -1),
+            "sampled_edges": hop_edges.sum(axis=1),
+        }
+    )
     return EpochSamplingStats(
         k=k,
         n_layers=n_layers,
-        global_batch=global_batch,
+        global_batch=global_batch or 0,
         per_step=per_step,
         sampled=sampled,
         hop_edges=hop_edges,

@@ -30,13 +30,7 @@ from repro.partitioning.base import EdgePartitioner, build_csr, degrees_of
 from repro.partitioning.edge import hdrf
 
 
-def _ne_expand(
-    src: np.ndarray,
-    dst: np.ndarray,
-    n_vertices: int,
-    k: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def _ne_expand(src: np.ndarray, dst: np.ndarray, n_vertices: int, k: int) -> np.ndarray:
     """NE-style greedy expansion: assign each edge to a partition in [0, k).
 
     Grows partitions one at a time to ~|E|/k edges. The next vertex absorbed
@@ -109,7 +103,6 @@ class HEPPartitioner(EdgePartitioner):
         self.name = f"HEP{int(tau)}"
 
     def assign(self, edges, k, *, n_vertices, seed=0, split=None):
-        rng = np.random.default_rng(seed)
         src = edges["src"].to_numpy(np.int64)
         dst = edges["dst"].to_numpy(np.int64)
         m = len(src)
@@ -123,7 +116,7 @@ class HEPPartitioner(EdgePartitioner):
 
         # In-memory phase on the low-degree subgraph.
         low_idx = np.flatnonzero(low_edge)
-        low_parts = _ne_expand(src[low_idx], dst[low_idx], n_vertices, k, rng)
+        low_parts = _ne_expand(src[low_idx], dst[low_idx], n_vertices, k)
         out[low_idx] = low_parts
 
         # Streaming phase for edges touching high-degree vertices, through

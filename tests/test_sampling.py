@@ -20,7 +20,6 @@ from repro.gnn.layers import layer_flops
 from repro.gnn.sampling import (
     FANOUTS,
     EpochSamplingStats,
-    _stats_from_sampled,
     plan_batches,
     sample_epoch,
 )
@@ -342,10 +341,12 @@ class TestMatchesSparkWindowPlan:
     def check(self, setup, seeds, owner, sampled, n_layers):
         csr = setup[4]
         got = sample_epoch(*csr, seeds, owner, FANOUTS[n_layers], seed=3, global_batch=64)
-        want = _stats_from_sampled(seeds, sampled, owner, n_layers, 4, 64)
+        want = _per_step_reference(seeds, sampled, owner, n_layers)
         pd.testing.assert_frame_equal(_sorted_rows(got.sampled), _sorted_rows(sampled))
-        pd.testing.assert_frame_equal(got.per_step, want.per_step)
-        np.testing.assert_array_equal(got.hop_edges, want.hop_edges)
+        pd.testing.assert_frame_equal(got.per_step, want)
+        np.testing.assert_array_equal(
+            got.hop_edges, _hop_edges_reference(want, sampled, n_layers)
+        )
 
     @pytest.mark.parametrize("owner_name", ["Random", "Metis"])
     @pytest.mark.parametrize("n_layers", [2, 3, 4])
@@ -372,7 +373,12 @@ class TestMatchesSparkWindowPlan:
 
 
 def _per_step_reference(seeds, sampled, owner_of, n_layers):
-    """The per-group reduction the vectorised ``_stats_from_sampled`` replaces."""
+    """Per-step statistics by pandas group-bys over the sampled rows.
+
+    Each (worker, step, vertex) reached keeps the first depth it was reached
+    at (seeds 0, a destination of layer l: l + 1), as ``sample_epoch``
+    counts them from its frontier keys.
+    """
     first = pd.concat(
         [
             seeds.assign(first=0)[["worker", "step", "vertex", "first"]],
@@ -406,6 +412,13 @@ def _per_step_reference(seeds, sampled, owner_of, n_layers):
     per_step["sampled_edges"] = per_step["sampled_edges"].astype(np.int64)
     per_step["remote_inputs"] = per_step["remote_inputs"].astype(np.int64)
     return per_step
+
+
+def _hop_edges_reference(per_step, sampled, n_layers):
+    """Sampled rows per (per_step row, layer)."""
+    counts = sampled.groupby(["worker", "step", "layer"]).size().unstack(fill_value=0)
+    rows = pd.MultiIndex.from_frame(per_step[["worker", "step"]])
+    return counts.reindex(index=rows, columns=range(n_layers), fill_value=0).to_numpy()
 
 
 def _phase_times_reference(stats, cfg):
@@ -455,20 +468,28 @@ def _phase_times_reference(stats, cfg):
 
 
 class TestVectorisedReductions:
-    @pytest.fixture(scope="class")
-    def epoch(self, setup):
-        _, _, train, owner, csr = setup
+    @pytest.fixture(scope="class", params=["all", "one_step_without_edges"])
+    def epoch(self, request, setup):
+        _, n, train, owner, (indptr, indices) = setup
         seeds = plan_batches(train, owner, 4, 64, seed=0)
-        st = sample_epoch(*csr, seeds, owner, FANOUTS[3], seed=0, global_batch=64)
+        if request.param == "one_step_without_edges":
+            # Worker 1's only step-0 seed is a new isolated vertex n.
+            indptr = np.append(indptr, indptr[-1])
+            owner = np.append(owner, 1)
+            own = (seeds["worker"] == 1) & (seeds["step"] == 0)
+            seeds = pd.concat(
+                [seeds[~own], pd.DataFrame({"worker": [1], "step": [0], "vertex": [n]})],
+                ignore_index=True,
+            )
+        st = sample_epoch(indptr, indices, seeds, owner, FANOUTS[3], seed=0, global_batch=64)
+        if request.param == "one_step_without_edges":
+            row = st.per_step[(st.per_step["worker"] == 1) & (st.per_step["step"] == 0)]
+            assert row["sampled_edges"].tolist() == [0]
         return seeds, owner, st
 
-    @pytest.fixture(scope="class", params=["all", "one_step_without_edges"])
-    def stats(self, request, epoch) -> EpochSamplingStats:
-        seeds, owner, st = epoch
-        sampled = st.sampled
-        if request.param == "one_step_without_edges":
-            sampled = sampled[(sampled["worker"] != 1) | (sampled["step"] != 0)]
-        return _stats_from_sampled(seeds, sampled, owner, 3, 4, 64)
+    @pytest.fixture(scope="class")
+    def stats(self, epoch) -> EpochSamplingStats:
+        return epoch[2]
 
     def test_per_step_matches_reference(self, epoch, stats):
         seeds, owner, _ = epoch
