@@ -59,8 +59,9 @@ def spark() -> SparkSession:
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
     (shuffle partitions, Arrow, broadcast threshold) are set here.
     Automatic broadcast joins are disabled so no join silently turns into
-    a broadcast; the edge-cut query (``quality.edge_cut_quality``) opts
-    back in explicitly with ``F.broadcast`` on the vertex assignment.
+    a broadcast; the stacked edge-cut query (``quality.edge_cut_query``)
+    opts back in explicitly with ``BROADCAST`` hints on the vertex
+    assignments and their partitioner names.
     """
     s = (
         SparkSession.builder.appName("repro")

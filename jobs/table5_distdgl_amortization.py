@@ -1,19 +1,24 @@
 """Table 5 + Figures 12/13/15/16/19/24/26: the DistDGL track.
 
-Runs every vertex partition of the paper's DistDGL tables once, in four
-``run_distdgl_suite`` calls that share no (graph, partitioner, k) cell:
+Runs every vertex partition of the paper's DistDGL tables once, in cells
+that no two calls share:
 
 * k=8, all five graphs and six vertex partitioners, GraphSage, global batch
-  64, the full feature/hidden/layers grid (Table 5);
-* k ∈ {4, 32}, all five graphs, f=512, h=64, L=3 (Figures 12/13/15, and
-  the k=4/32 points of Figure 24);
+  64, the full feature/hidden/layers grid (Table 5), one
+  ``run_distdgl_suite`` call;
+* k ∈ {4, 32}, all five graphs, composed from the suite's two stages:
+  ``partition_cells`` on every graph (Figures 12/13/15 read its rows), and
+  ``sample_cells`` at f=512, h=64, L=3 only on ``FIG24_GRAPHS`` (the k=4/32
+  points of Figure 24), so no epoch is sampled that no table reads;
 * k=16 on DI/EU at f=512, h=64, L=3 (Figure 24);
 * k=16 on OR over Figure 26's grid: f ∈ {64, 512}, h=64, L=3, GraphSage
   and GAT, global batch sizes ``BATCHES`` (Figure 26, and Figure 24's OR
   k=16 point).
 
-Every row is backed by a really-executed sampling epoch (on the driver) and
-its partition run's Spark SQL quality query. The job then emits:
+Every partition run's quality comes from one stacked Spark SQL query per
+(graph, k), over all of its partitioners' runs, and every suite row is
+backed by a really-executed sampling epoch (on the driver). The job then
+emits:
 
 * ``table5`` — average epochs until partitioning amortizes (paper Table 5);
 * ``fig16_speedups`` — mean/min/max speedup vs Random per (graph, partitioner);
@@ -37,12 +42,23 @@ import pandas as pd
 
 from _common import make_session, save_and_print
 from repro.exp import tables
-from repro.exp.harness import DEFAULT_GLOBAL_BATCH, run_distdgl_suite
+from repro.exp.harness import (
+    DEFAULT_GLOBAL_BATCH,
+    load_bundle,
+    partition_cells,
+    run_distdgl_suite,
+    sample_cells,
+)
+from repro.graphs.datasets import GRAPHS
+from repro.partitioning.registry import VERTEX_PARTITIONERS
 
 VERTEX_ROSTER = ["ByteGNN", "KaHIP", "LDG", "Spinner", "Metis"]
 
 #: The one configuration of the Figure 12/13/15 and Figure 24 cells.
-FIG_CONFIG = dict(features=(512,), hiddens=(64,), layer_counts=(3,))
+FIG_CONFIG = dict(
+    features=(512,), hiddens=(64,), layer_counts=(3,), kinds=("sage",),
+    global_batch=DEFAULT_GLOBAL_BATCH,
+)
 
 #: Figure 24: GraphSage f=512, h=64, L=3 on a road graph and two skewed
 #: graphs, one row per (graph, partitioner, k).
@@ -51,10 +67,6 @@ FIG24_ROWS = (
     f"graph in {FIG24_GRAPHS} and feature == 512 and hidden == 64 and layers == 3"
     f" and kind == 'sage' and global_batch == {DEFAULT_GLOBAL_BATCH}"
 )
-FIG12_COLUMNS = [
-    "graph", "partitioner", "k", "edge_cut", "vertex_balance",
-    "train_vertex_balance", "partition_seconds", "partition_seconds_norm",
-]
 
 #: Figure 26: the paper's batch sizes 512..32768 are ~0.2-10% of OR's
 #: training set; 16..256 covers the same relative range at our scale.
@@ -67,15 +79,15 @@ PRINT_KEYS = (
 )
 
 
-def fig12_tables(suite: pd.DataFrame) -> dict[str, pd.DataFrame]:
+def fig12_tables(q: pd.DataFrame) -> dict[str, pd.DataFrame]:
     """Figures 12/13/15: vertex-partitioner quality and time.
 
-    One ``fig12_quality`` row per (graph, partitioner, k) of ``suite``: the
+    ``q`` is ``partition_cells``' rows, one per (graph, partitioner, k): the
     Spark SQL edge-cut ratio (Figure 12), vertex and training-vertex balance
-    (Figure 13) and partitioning time (Figure 15, log scale in the paper),
-    pivoted over k as ``fig12_cut`` and ``fig15_time``.
+    (Figure 13) and partitioning time (Figure 15, log scale in the paper).
+    They are ``fig12_quality``, pivoted over k as ``fig12_cut`` and
+    ``fig15_time``.
     """
-    q = suite.drop_duplicates(["graph", "partitioner", "k"])[FIG12_COLUMNS].reset_index(drop=True)
     return {
         "fig12_quality": q,
         "fig12_cut": tables.pivot(q, ["graph", "partitioner"], "k", "edge_cut", 4),
@@ -126,7 +138,15 @@ def fig26_tables(suite: pd.DataFrame) -> dict[str, pd.DataFrame]:
 
 def run(spark, *, scale: float = 1e-3, seed: int = 0) -> dict[str, pd.DataFrame]:
     suite = run_distdgl_suite(spark, ks=(8,), scale=scale, seed=seed)
-    fig12 = run_distdgl_suite(spark, ks=(4, 32), **FIG_CONFIG, scale=scale, seed=seed)
+    cells, fig24_k4_32 = [], []
+    for gname in GRAPHS:
+        b = load_bundle(gname, scale=scale, seed=seed)
+        q, runs = partition_cells(
+            spark, b, partitioners=tuple(VERTEX_PARTITIONERS), ks=(4, 32), seed=seed
+        )
+        cells.append(q)
+        if gname in FIG24_GRAPHS:
+            fig24_k4_32.append(sample_cells(b, q, runs, **FIG_CONFIG, seed=seed))
     k16 = run_distdgl_suite(
         spark, graphs=("DI", "EU"), ks=(16,), **FIG_CONFIG, scale=scale, seed=seed
     )
@@ -152,8 +172,8 @@ def run(spark, *, scale: float = 1e-3, seed: int = 0) -> dict[str, pd.DataFrame]
         "table5": t5.map(lambda v: float("nan") if v is None else v),
         "fig16_speedups": speedups,
         "phase_shares": phases,
-        **fig12_tables(fig12),
-        **fig24_tables(suite, fig12, k16, fig26),
+        **fig12_tables(pd.concat(cells, ignore_index=True)),
+        **fig24_tables(suite, *fig24_k4_32, k16, fig26),
         **fig26_tables(fig26),
     }
 

@@ -128,16 +128,22 @@ def run_partitioner(
 
 _VERTEX_ASSIGN_SCHEMA = T.StructType(
     [
+        T.StructField("partitioner", T.StringType(), False),
         T.StructField("vertex", T.LongType(), False),
         T.StructField("part", T.LongType(), False),
     ]
 )
 
 
-def assignment_to_spark(spark: SparkSession, run: PartitionRun) -> DataFrame:
-    """Lift a vertex partitioning's (vertex, part) table into Spark for the
-    edge-cut metrics."""
-    return spark.createDataFrame(run.assignment, schema=_VERTEX_ASSIGN_SCHEMA)
+def assignment_to_spark(spark: SparkSession, *runs: PartitionRun) -> DataFrame:
+    """Lift vertex partitionings' (vertex, part) tables into Spark for the
+    edge-cut metrics, stacked as (partitioner, vertex, part) rows."""
+    stacked = pd.concat(
+        [r.assignment.assign(partitioner=r.partitioner) for r in runs], ignore_index=True
+    )
+    return spark.createDataFrame(
+        stacked[["partitioner", "vertex", "part"]], schema=_VERTEX_ASSIGN_SCHEMA
+    )
 
 
 def degrees_of(edges: pd.DataFrame, n_vertices: int) -> np.ndarray:

@@ -1,24 +1,26 @@
 """Edge-cut quality metrics (paper Section 2.1) in Spark SQL.
 
 Edge-cut ratio ``λ = |E_cut| / |E|``, vertex balance over partition sizes,
-and training-vertex balance (DistDGL section) of a vertex assignment. The
+and training-vertex balance (DistDGL section) of vertex assignments. The
 vertex-cut metrics (replication factor and balances) are
 :func:`repro.simulate.distgnn.partition_stats`, in pandas.
 
-:func:`edge_cut_quality` collects the one DataFrame :func:`edge_cut_query`
-builds: the per-part rows and a totals row (``part`` NULL) together, from a
-single aggregation. The query looks up the part of every edge endpoint and
-of every training vertex in one broadcast of the vertex assignment: the
-sessions disable automatic broadcast joins, and the ``F.broadcast`` hint
-opts this query back in, so no join shuffles. The tests oracle-check the
-query against the same SQL on DuckDB.
+:func:`edge_cut_qualities` collects the one DataFrame :func:`edge_cut_query`
+builds over a stacked (partitioner, vertex, part) assignment: per
+partitioner, the per-part rows and a totals row (``part`` NULL) together,
+from a single aggregation. The experiment harness makes one such query per
+(graph, k), over every partitioner's run; :func:`edge_cut_quality` is its
+one-run case. The query looks up the part of every edge endpoint and of
+every training vertex in broadcasts of the assignment: the sessions disable
+automatic broadcast joins, and the query's ``BROADCAST`` hints opt it back
+in, so no join shuffles. The tests oracle-check the query against SQL of
+their own on DuckDB.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 
 @dataclass(frozen=True)
@@ -39,76 +41,22 @@ def _balance(per_part: list[int], k: int) -> float:
     return max(per_part) / mean if mean else float("nan")
 
 
-def _split_totals(rows, k: int):
-    """``n_vertices`` and ``n_train`` per part 0..k-1, and the totals row of a query's rows."""
+def _quality(partitioner: str, rows, k: int) -> EdgeCutQuality:
+    """One partitioner's :class:`EdgeCutQuality` from its rows of the query."""
     parts = {int(r["part"]): r for r in rows if r["part"] is not None}
     total = next((r for r in rows if r["part"] is None), None)
 
     def per_part(col: str) -> list[int]:
         return [int(parts[p][col]) if p in parts else 0 for p in range(k)]
 
-    return per_part("n_vertices"), per_part("n_train"), total
-
-
-def edge_cut_query(edges: DataFrame, assign: DataFrame, *, split: DataFrame) -> DataFrame:
-    """Rows of a vertex assignment (vertex, part) over the undirected ``edges``.
-
-    One row per part with ``n_vertices`` and ``n_train`` (its vertices with
-    role "train" in ``split``), plus a totals row with ``part`` NULL,
-    ``n_edges``, ``cut_edges`` and ``unassigned_edges`` (edges with an
-    endpoint that has no assignment row). Each row leaves the other kind's
-    columns NULL: the edge rows carry no ``part``, so the union gives them a
-    NULL one and they aggregate into the totals row. The src, dst and
-    training-vertex lookups all probe one broadcast of the assignment.
-    """
-    part_of = F.broadcast(assign.select("vertex", "part"))
-    ps, pd_ = part_of.alias("ps"), part_of.alias("pd")
-    src_part, dst_part = F.col("ps.part"), F.col("pd.part")
-    edge_rows = (
-        edges.alias("e")
-        .join(ps, F.col("e.src") == F.col("ps.vertex"), "left")
-        .join(pd_, F.col("e.dst") == F.col("pd.vertex"), "left")
-        .select(
-            F.lit(1).alias("n_edges"),
-            (src_part != dst_part).cast("int").alias("cut_edges"),
-            (src_part.isNull() | dst_part.isNull()).cast("int").alias("unassigned_edges"),
-        )
-    )
-    train = split.where(F.col("role") == "train").join(part_of, "vertex")
-    rows = assign.select(
-        "part", F.lit(1).alias("n_vertices"), F.lit(0).alias("n_train")
-    ).unionByName(
-        train.select("part", F.lit(0).alias("n_vertices"), F.lit(1).alias("n_train"))
-    )
-    # One partition satisfies the aggregate's distribution, so it needs no
-    # shuffle: the query is one broadcast job plus one single-task job. Its
-    # input is one row per edge and vertex of a graph the driver already
-    # holds, and the aggregate's output is k + 1 rows.
-    rows = rows.unionByName(edge_rows, allowMissingColumns=True).coalesce(1)
-    return rows.groupBy("part").agg(
-        *(F.sum(c).alias(c) for c in rows.columns if c != "part")
-    )
-
-
-def edge_cut_quality(
-    edges: DataFrame, assign: DataFrame, k: int, *, split: DataFrame
-) -> EdgeCutQuality:
-    """Quality of a vertex-partitioning run.
-
-    ``edges`` is the undirected view; ``assign`` has (vertex, part);
-    ``split`` has (vertex, role), for the training-vertex balance the paper
-    measures for DistDGL. Raises ``ValueError`` when an edge endpoint has
-    no assignment row.
-    """
-    vertices_per_part, train_per_part, total = _split_totals(
-        edge_cut_query(edges, assign, split=split).collect(), k
-    )
+    vertices_per_part, train_per_part = per_part("n_vertices"), per_part("n_train")
     n_edges = int(total["n_edges"]) if total else 0
     cut = int(total["cut_edges"] or 0) if total else 0
     unassigned = int(total["unassigned_edges"]) if total else 0
     if unassigned:
         raise ValueError(
-            f"{unassigned} of {n_edges} edges have an endpoint without an assignment row"
+            f"{partitioner}: {unassigned} of {n_edges} edges have an endpoint "
+            "without an assignment row"
         )
     return EdgeCutQuality(
         k=k,
@@ -121,3 +69,83 @@ def edge_cut_quality(
         cut_edges=cut,
         train_per_part=train_per_part,
     )
+
+
+#: The Spark SQL of :func:`edge_cut_query`. Each UNION ALL branch fills its
+#: own kind's columns and leaves the others NULL: the edge rows carry no
+#: ``part``, so they aggregate into their partitioner's totals row. The
+#: hints broadcast the assignment and the partitioner names (the sessions
+#: disable automatic broadcast joins), so no join shuffles; and they read
+#: the assignment and each aggregate's input as one partition, so no
+#: aggregate shuffles and each broadcast is built by a single task.
+_EDGE_CUT_SQL = """
+WITH assignment AS (SELECT /*+ COALESCE(1) */ partitioner, vertex, part FROM {assign}),
+names AS (SELECT DISTINCT partitioner FROM assignment),
+stacked AS (
+  SELECT partitioner, part, 1 AS n_vertices, 0 AS n_train,
+         NULL AS n_edges, NULL AS cut_edges, NULL AS unassigned_edges
+  FROM assignment
+  UNION ALL
+  SELECT /*+ BROADCAST(a) */ a.partitioner, a.part, 0, 1, NULL, NULL, NULL
+  FROM {split} s JOIN assignment a ON a.vertex = s.vertex
+  WHERE s.role = 'train'
+  UNION ALL
+  SELECT /*+ BROADCAST(n, ps, pd) */ n.partitioner, NULL, NULL, NULL, 1,
+         CAST(ps.part <> pd.part AS INT),
+         CAST(ps.part IS NULL OR pd.part IS NULL AS INT)
+  FROM {edges} e CROSS JOIN names n
+  LEFT JOIN assignment ps ON ps.partitioner = n.partitioner AND ps.vertex = e.src
+  LEFT JOIN assignment pd ON pd.partitioner = n.partitioner AND pd.vertex = e.dst
+)
+SELECT partitioner, part, SUM(n_vertices) AS n_vertices, SUM(n_train) AS n_train,
+       SUM(n_edges) AS n_edges, SUM(cut_edges) AS cut_edges,
+       SUM(unassigned_edges) AS unassigned_edges
+FROM (SELECT /*+ COALESCE(1) */ * FROM stacked)
+GROUP BY partitioner, part
+"""
+
+
+def edge_cut_query(edges: DataFrame, assign: DataFrame, *, split: DataFrame) -> DataFrame:
+    """Rows of a stacked vertex assignment (partitioner, vertex, part) over
+    the undirected ``edges``.
+
+    Per partitioner, one row per part with ``n_vertices`` and ``n_train``
+    (its vertices with role "train" in ``split``), plus a totals row with
+    ``part`` NULL, ``n_edges``, ``cut_edges`` and ``unassigned_edges``
+    (edges with an endpoint that has no assignment row of that
+    partitioner). Every edge is paired with each partitioner of ``assign``
+    and looks up both endpoints by (partitioner, vertex), so one
+    partitioner's parts never meet another's. It is one SQL statement,
+    analyzed once: built from DataFrame calls, each of which analyzes the
+    plan over the local relations again, the same plan took twice as long
+    to build.
+    """
+    return edges.sparkSession.sql(_EDGE_CUT_SQL, edges=edges, assign=assign, split=split)
+
+
+def edge_cut_qualities(
+    edges: DataFrame, assign: DataFrame, k: int, *, split: DataFrame
+) -> dict[str, EdgeCutQuality]:
+    """Quality of every vertex-partitioning run stacked in ``assign``, by
+    partitioner, from one query and one collect.
+
+    ``edges`` is the undirected view; ``assign`` has (partitioner, vertex,
+    part) rows of runs into ``k`` parts
+    (:func:`repro.partitioning.base.assignment_to_spark`);
+    ``split`` has (vertex, role), for the training-vertex balance the paper
+    measures for DistDGL. Raises ``ValueError``, naming the partitioner,
+    when an edge endpoint has no assignment row of that partitioner.
+    """
+    rows: dict[str, list] = {}
+    for r in edge_cut_query(edges, assign, split=split).collect():
+        rows.setdefault(r["partitioner"], []).append(r)
+    return {name: _quality(name, rs, k) for name, rs in rows.items()}
+
+
+def edge_cut_quality(
+    edges: DataFrame, assign: DataFrame, k: int, *, split: DataFrame
+) -> EdgeCutQuality:
+    """Quality of one vertex-partitioning run: :func:`edge_cut_qualities`
+    over an ``assign`` that stacks a single run."""
+    (q,) = edge_cut_qualities(edges, assign, k, split=split).values()
+    return q

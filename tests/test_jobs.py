@@ -15,7 +15,12 @@ import table4_distgnn_amortization
 import table5_distdgl_amortization
 from repro.exp import harness
 from repro.exp.harness import run_distdgl_suite, run_distgnn_suite
+from repro.gnn.sampling import sample_epoch
+from repro.graphs.datasets import GRAPHS
+from repro.partitioning import quality
 from repro.partitioning.base import run_partitioner
+from repro.partitioning.quality import edge_cut_qualities
+from repro.partitioning.registry import VERTEX_PARTITIONERS
 
 SCALE = 1e-4
 
@@ -65,14 +70,18 @@ class TestFig2Job:
 
 
 class TestFig12Job:
-    """Figs 12/13/15, selected by the Table 5 job from its suite rows."""
+    """Figs 12/13/15, selected by the Table 5 job from its stage-1 rows."""
 
     @pytest.fixture(scope="class")
     def out(self, spark):
-        suite = run_distdgl_suite(
-            spark, ks=(4,), **table5_distdgl_amortization.FIG_CONFIG, scale=SCALE
-        )
-        return table5_distdgl_amortization.fig12_tables(suite)
+        cells = [
+            harness.partition_cells(
+                spark, harness.load_bundle(g, scale=SCALE), ks=(4,), seed=0,
+                partitioners=tuple(VERTEX_PARTITIONERS),
+            )[0]
+            for g in GRAPHS
+        ]
+        return table5_distdgl_amortization.fig12_tables(pd.concat(cells, ignore_index=True))
 
     def test_all_partitioners_covered(self, out):
         q = out["fig12_quality"]
@@ -92,29 +101,52 @@ class TestFig12Job:
         assert kahip["DI"] == kahip.min()
 
 
+#: The graphs of the ``job`` fixture: EN is outside ``FIG24_GRAPHS``.
+JOB_GRAPHS = ("EN", "EU", "OR")
+
+
 @pytest.fixture(scope="module")
 def job(spark):
-    """The Table 5 job's four suite calls, cut down to EU/OR, Random+Metis, h=64, L=3.
+    """The Table 5 job, cut down to EN/EU/OR, Random+Metis, h=64, L=3.
 
-    Also counts the partition runs per (n_vertices, partitioner, k).
+    Also counts, per (graph, k), the partition runs per partitioner, the
+    stacked quality queries and the sampled epochs.
     """
     job = table5_distdgl_amortization
-    calls = Counter()
+    graph_of = {harness.load_bundle(g, scale=SCALE).n_vertices: g for g in JOB_GRAPHS}
+    assert len(graph_of) == len(JOB_GRAPHS)
+    calls, queries, epochs = Counter(), Counter(), Counter()
 
     def counted(p, edges, k, **kwargs):
-        calls[kwargs["n_vertices"], p.name, k] += 1
+        calls[graph_of[kwargs["n_vertices"]], p.name, k] += 1
         return run_partitioner(p, edges, k, **kwargs)
+
+    def counted_query(edges, assign, k, *, split):
+        queries[graph_of[split.count()], k] += 1
+        return edge_cut_qualities(edges, assign, k, split=split)
+
+    def counted_epoch(indptr, indices, seeds, owner, fanouts, **kwargs):
+        stats = sample_epoch(indptr, indices, seeds, owner, fanouts, **kwargs)
+        epochs[graph_of[len(indptr) - 1], stats.k] += 1
+        return stats
 
     def small_suite(spark, *, graphs=("HW", "DI", "EN", "EU", "OR"), **kwargs):
         kwargs.update(partitioners=("Random", "Metis"), hiddens=(64,), layer_counts=(3,))
-        graphs = tuple(g for g in graphs if g in ("EU", "OR"))
+        graphs = tuple(g for g in graphs if g in JOB_GRAPHS)
         return run_distdgl_suite(spark, graphs=graphs, **kwargs)
+
+    def small_cells(spark, b, *, partitioners, **kwargs):
+        return harness.partition_cells(spark, b, partitioners=("Random", "Metis"), **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(job, "run_distdgl_suite", small_suite)
+        mp.setattr(job, "partition_cells", small_cells)
+        mp.setattr(job, "GRAPHS", JOB_GRAPHS)
         mp.setattr(harness, "run_partitioner", counted)
+        mp.setattr(harness, "sample_epoch", counted_epoch)
+        mp.setattr(quality, "edge_cut_qualities", counted_query)
         out = job.run(spark, scale=SCALE)
-    return out, calls
+    return out, calls, queries, epochs
 
 
 class TestTable5Job:
@@ -146,27 +178,44 @@ class TestTable5Job:
         ]
 
     def test_each_cell_partitioned_once(self, job):
-        _, calls = job
-        # 2 graphs x 2 partitioners x k in {4, 8, 16, 32}, no cell twice.
-        assert len(calls) == 16
+        _, calls, _, _ = job
+        # 2 partitioners x (EU, OR at k in {4, 8, 16, 32} + EN at k in {4, 8, 32}),
+        # no cell twice.
+        assert len(calls) == 22
         assert set(calls.values()) == {1}
+
+    def test_one_quality_query_per_graph_and_k(self, job):
+        _, calls, queries, _ = job
+        assert set(queries) == {(g, k) for g, _, k in calls}
+        assert set(queries.values()) == {1}
+
+    def test_no_epoch_that_no_table_reads(self, job):
+        _, _, _, epochs = job
+        # L=3 only: one epoch per partitioner, and OR k=16 once per Fig 26 batch size.
+        assert epochs == {
+            **{(g, k): 2 for g in JOB_GRAPHS for k in (4, 8, 32) if g != "EN"},
+            ("EN", 8): 2, ("EU", 16): 2,
+            ("OR", 16): 2 * len(table5_distdgl_amortization.BATCHES),
+        }
 
 
 class TestFig24Tables:
     """Fig 24 from the Table 5 job: its k=8 points are Table 5 suite rows."""
 
     def test_k_columns_in_order(self, job):
-        out, _ = job
+        out = job[0]
         for name in ("fig24a_speedup", "fig24b_remote_pct", "fig24c_cut_pct"):
             assert list(out[name].columns) == ["graph", "partitioner", 4, 8, 16, 32]
 
     def test_k8_column_is_table5_speedup(self, job):
-        out, _ = job
-        rows = out["suite"].query("partitioner != 'Random' and feature == 512 and layers == 3")
+        out = job[0]
+        rows = out["suite"].query(
+            f"{table5_distdgl_amortization.FIG24_ROWS} and partitioner != 'Random'"
+        )
         assert list(out["fig24a_speedup"][8]) == list(rows["speedup"].round(3))
 
     def test_k8_rows_are_the_table5_suite_rows(self, job):
-        out, _ = job
+        out = job[0]
         fig24 = out["fig24_suite"]
         pd.testing.assert_frame_equal(
             fig24[fig24["k"] == 8].reset_index(drop=True),
@@ -176,7 +225,7 @@ class TestFig24Tables:
         assert sorted(fig24["k"].unique()) == [4, 8, 16, 32]
 
     def test_or_k16_rows_are_the_fig26_rows(self, job):
-        out, _ = job
+        out = job[0]
         fig24 = out["fig24_suite"]
         assert not fig24.duplicated(["graph", "partitioner", "k"]).any()
         pd.testing.assert_frame_equal(
@@ -188,7 +237,7 @@ class TestFig24Tables:
 
 class TestFig26Tables:
     def test_pivots_kinds_over_batch_sizes(self, job):
-        out, _ = job
+        out = job[0]
         batches = list(table5_distdgl_amortization.BATCHES)
         for name in ("fig26a_speedup", "fig26b_net_pct", "fig26c_remote_pct"):
             df = out[name]

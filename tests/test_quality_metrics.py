@@ -7,8 +7,9 @@ from repro.graphs.datasets import generate, n_vertices_of, split_to_spark, split
 from repro.graphs.generators import to_spark, undirected_view
 from repro.oracle import assert_equivalent
 from repro.partitioning import quality
-from repro.partitioning.base import assignment_to_spark, run_partitioner
+from repro.partitioning.base import PartitionRun, assignment_to_spark, run_partitioner
 from repro.partitioning.edge.dbh import DBHPartitioner
+from repro.partitioning.registry import make_vertex_partitioner
 from repro.partitioning.vertex.random_vp import RandomVertexPartitioner
 from repro.simulate import distgnn
 
@@ -76,50 +77,114 @@ class TestPartitionStats:
         assert (st.replicas == 0).all()
 
 
+def _stacked(*runs) -> pd.DataFrame:
+    """The pandas twin of ``assignment_to_spark(spark, *runs)``."""
+    return pd.concat(
+        [r.assignment.assign(partitioner=r.partitioner) for r in runs], ignore_index=True
+    )[["partitioner", "vertex", "part"]]
+
+
 class TestEdgeCutQuality:
     EDGE_CUT_SQL = """
-        SELECT a.part, COUNT(*) AS n_vertices, COUNT(t.vertex) AS n_train,
+        SELECT a.partitioner, a.part, COUNT(*) AS n_vertices, COUNT(t.vertex) AS n_train,
                NULL AS n_edges, NULL AS cut_edges, NULL AS unassigned_edges
         FROM assign a
         LEFT JOIN (SELECT vertex FROM split WHERE role = 'train') t ON a.vertex = t.vertex
-        GROUP BY a.part
+        GROUP BY a.partitioner, a.part
         UNION ALL
-        SELECT NULL, NULL, NULL, COUNT(*),
+        SELECT n.partitioner, NULL, NULL, NULL, COUNT(*),
                SUM(CASE WHEN pa.part <> pb.part THEN 1 ELSE 0 END),
                SUM(CASE WHEN pa.part IS NULL OR pb.part IS NULL THEN 1 ELSE 0 END)
         FROM edges e
-        LEFT JOIN assign pa ON e.src = pa.vertex
-        LEFT JOIN assign pb ON e.dst = pb.vertex
+        CROSS JOIN (SELECT DISTINCT partitioner FROM assign) n
+        LEFT JOIN assign pa ON n.partitioner = pa.partitioner AND e.src = pa.vertex
+        LEFT JOIN assign pb ON n.partitioner = pb.partitioner AND e.dst = pb.vertex
+        GROUP BY n.partitioner
     """
 
-    def test_edge_cut_query_matches_duckdb(self, spark, graph):
+    @pytest.fixture(scope="class")
+    def runs(self, graph):
         edges, n = graph
-        run = run_partitioner(RandomVertexPartitioner(), edges, 4, n_vertices=n)
+        split = split_vertices(n, seed=7)
+        return [
+            run_partitioner(make_vertex_partitioner(p), edges, 4, n_vertices=n, split=split)
+            for p in ("Random", "Metis")
+        ]
+
+    def test_edge_cut_query_matches_duckdb(self, spark, graph, runs):
+        edges, n = graph
         split = split_vertices(n, seed=7)
         got = quality.edge_cut_query(
             to_spark(spark, edges),
-            assignment_to_spark(spark, run),
+            assignment_to_spark(spark, *runs),
             split=spark.createDataFrame(split),
         )
         assert_equivalent(
-            got, self.EDGE_CUT_SQL, edges=edges, assign=run.assignment, split=split
+            got, self.EDGE_CUT_SQL, edges=edges, assign=_stacked(*runs), split=split
         )
 
-    def test_unassigned_endpoint_raises(self, spark, graph):
+    def test_stacked_query_equals_one_query_per_run(self, spark, graph, runs):
         edges, n = graph
-        run = run_partitioner(RandomVertexPartitioner(), edges, 4, n_vertices=n)
-        missing = int(edges["src"].iloc[0])
-        a = run.assignment[run.assignment["vertex"] != missing]
-        split = split_vertices(n, seed=7)
-        edges_sdf, assign_sdf = to_spark(spark, edges), spark.createDataFrame(a)
-        got = quality.edge_cut_query(edges_sdf, assign_sdf, split=spark.createDataFrame(split))
-        assert_equivalent(got, self.EDGE_CUT_SQL, edges=edges, assign=a, split=split)
-        unassigned = int(((edges["src"] == missing) | (edges["dst"] == missing)).sum())
-        assert got.where("part IS NULL").first()["unassigned_edges"] == unassigned > 0
-        with pytest.raises(ValueError, match=f"{unassigned} of {len(edges)} edges"):
-            quality.edge_cut_quality(
-                edges_sdf, assign_sdf, 4, split=spark.createDataFrame(split)
+        edges_sdf, split = to_spark(spark, edges), split_to_spark(spark, n, seed=7)
+        stacked = quality.edge_cut_qualities(
+            edges_sdf, assignment_to_spark(spark, *runs), 4, split=split
+        )
+        assert sorted(stacked) == ["Metis", "Random"]
+        for run in runs:
+            one = quality.edge_cut_quality(
+                edges_sdf, assignment_to_spark(spark, run), 4, split=split
             )
+            assert stacked[run.partitioner] == one, run.partitioner
+
+    def test_stacking_never_mixes_partitioners(self, spark, graph):
+        # Each partitioner puts every vertex in one part, a different one:
+        # both cuts are 0 unless an edge pairs one run's part with the other's.
+        edges, n = graph
+        runs = [
+            PartitionRun(p, "edge-cut", 2, 0.0, pd.DataFrame({"vertex": range(n), "part": part}))
+            for p, part in (("A", 0), ("B", 1))
+        ]
+        qs = quality.edge_cut_qualities(
+            to_spark(spark, edges), assignment_to_spark(spark, *runs), 2,
+            split=split_to_spark(spark, n, seed=7),
+        )
+        assert {p: q.cut_edges for p, q in qs.items()} == {"A": 0, "B": 0}
+        assert qs["A"].vertices_per_part == [n, 0]
+        assert qs["B"].vertices_per_part == [0, n]
+
+    def test_unassigned_endpoint_raises(self, spark, graph, runs):
+        edges, n = graph
+        missing = int(edges["src"].iloc[0])
+        random, metis = runs
+        a = random.assignment
+        dropped = PartitionRun(
+            random.partitioner, random.cut_type, 4, random.seconds, a[a["vertex"] != missing]
+        )
+        split = split_vertices(n, seed=7)
+        edges_sdf, split_sdf = to_spark(spark, edges), spark.createDataFrame(split)
+        stacked = assignment_to_spark(spark, dropped, metis)
+        got = quality.edge_cut_query(edges_sdf, stacked, split=split_sdf)
+        assert_equivalent(
+            got, self.EDGE_CUT_SQL, edges=edges, assign=_stacked(dropped, metis), split=split
+        )
+        unassigned = int(((edges["src"] == missing) | (edges["dst"] == missing)).sum())
+        totals = {
+            r["partitioner"]: (r["n_edges"], r["unassigned_edges"])
+            for r in got.where("part IS NULL").collect()
+        }
+        assert totals == {"Random": (len(edges), unassigned), "Metis": (len(edges), 0)}
+        assert unassigned > 0
+        message = f"Random: {unassigned} of {len(edges)} edges"
+        with pytest.raises(ValueError, match=message):
+            quality.edge_cut_qualities(edges_sdf, stacked, 4, split=split_sdf)
+        with pytest.raises(ValueError, match=message):
+            quality.edge_cut_quality(
+                edges_sdf, assignment_to_spark(spark, dropped), 4, split=split_sdf
+            )
+        q = quality.edge_cut_quality(
+            edges_sdf, assignment_to_spark(spark, metis), 4, split=split_sdf
+        )
+        assert q.n_edges == len(edges)
 
     def test_edge_cut_quality_matches_pandas(self, spark, graph):
         edges, n = graph
@@ -153,7 +218,7 @@ class TestEdgeCutQuality:
         edges = pd.DataFrame({"src": [0, 1, 2], "dst": [1, 2, 3]})
         a = pd.DataFrame({"vertex": [0, 1, 2, 3], "part": [0, 0, 0, 0]})
         split = pd.DataFrame({"vertex": [0, 1, 2, 3], "role": ["train", "test", "val", "test"]})
-        run_like = type("R", (), {"cut_type": "edge-cut", "assignment": a})()
+        run_like = PartitionRun("one", "edge-cut", 1, 0.0, a)
         q = quality.edge_cut_quality(
             to_spark(spark, edges), assignment_to_spark(spark, run_like), 1,
             split=spark.createDataFrame(split),
@@ -165,7 +230,7 @@ class TestEdgeCutQuality:
         edges = pd.DataFrame({"src": [0, 1, 2], "dst": [1, 2, 3]})
         a = pd.DataFrame({"vertex": [0, 1, 2, 3], "part": [0, 0, 1, 1]})
         split = pd.DataFrame({"vertex": [0, 1, 2, 3], "role": ["train", "test", "val", "test"]})
-        run_like = type("R", (), {"cut_type": "edge-cut", "assignment": a})()
+        run_like = PartitionRun("two", "edge-cut", 2, 0.0, a)
         q = quality.edge_cut_quality(
             to_spark(spark, edges), assignment_to_spark(spark, run_like), 2,
             split=spark.createDataFrame(split),
@@ -178,9 +243,13 @@ class TestEdgeCutQuality:
 def test_results_independent_of_physical_settings(spark, graph):
     """Same metrics at 16 and 64 shuffle partitions, broadcast off and default."""
     edges, n = graph
-    run = run_partitioner(RandomVertexPartitioner(), edges, 4, n_vertices=n)
+    split_pdf = split_vertices(n, seed=7)
+    runs = [
+        run_partitioner(make_vertex_partitioner(p), edges, 4, n_vertices=n, split=split_pdf)
+        for p in ("Random", "LDG", "Metis")
+    ]
     edges_sdf, split = to_spark(spark, edges), split_to_spark(spark, n, seed=7)
-    assign = assignment_to_spark(spark, run)
+    assign = assignment_to_spark(spark, *runs)
     keys = ("spark.sql.shuffle.partitions", "spark.sql.autoBroadcastJoinThreshold")
     old = {key: spark.conf.get(key) for key in keys}
     results = {}
@@ -192,7 +261,7 @@ def test_results_independent_of_physical_settings(spark, graph):
                     spark.conf.unset(keys[1])
                 else:
                     spark.conf.set(keys[1], threshold)
-                results[partitions, threshold] = quality.edge_cut_quality(
+                results[partitions, threshold] = quality.edge_cut_qualities(
                     edges_sdf, assign, 4, split=split
                 )
     finally:
@@ -200,5 +269,6 @@ def test_results_independent_of_physical_settings(spark, graph):
             spark.conf.set(key, value)
     assert {key: spark.conf.get(key) for key in keys} == old
     first = results[16, "-1"]
+    assert sorted(first) == ["LDG", "Metis", "Random"]
     for got in results.values():
         assert got == first
