@@ -1,5 +1,6 @@
 import os
 import sys
+from pathlib import Path
 
 
 def _driver_mem() -> str:
@@ -50,27 +51,29 @@ os.environ.setdefault(
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
+sys.path.insert(0, str(Path(__file__).resolve().parent / "jobs"))
+from _common import SQL_CONF  # noqa: E402
+
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Automatic broadcast joins are disabled so no join silently turns into
-    a broadcast; the stacked edge-cut query (``quality.edge_cut_query``)
-    opts back in explicitly with ``BROADCAST`` hints on the vertex
-    assignments and their partitioner names.
+    pre-JVM-launch). The SQL settings are the jobs' (``_common.SQL_CONF``),
+    so the tests plan the queries the jobs run: Arrow lifts that become
+    RDD-backed relations rather than local relations holding their rows,
+    and no automatic broadcast join (the stacked edge-cut query,
+    ``quality.edge_cut_query``, opts back in with ``BROADCAST`` hints).
+    Only the shuffle partitions differ: 64, or ``SPARK_SHUFFLE_PARTITIONS``.
     """
     s = (
         SparkSession.builder.appName("repro")
+        .config(map=SQL_CONF)
         .config(
             "spark.sql.shuffle.partitions",
             os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
         )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
     # One line in test_output.txt that tells the driver whether the

@@ -13,9 +13,27 @@ from pathlib import Path
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
+#: The SQL settings of every session: the jobs', perfbench's and the test
+#: fixture's (which raises only the shuffle partitions). Pandas frames are
+#: lifted through Arrow. Automatic broadcast joins are off, so no join
+#: silently turns into a broadcast; the edge-cut query opts back in with
+#: ``BROADCAST`` hints. A local-relation threshold of 0 makes every Arrow
+#: lift an RDD-backed relation (``LogicalRDD``): below the threshold Spark
+#: keeps the rows inside the logical plan as a ``LocalRelation``, and each
+#: query over them spends more time analyzing and optimizing those rows
+#: than running.
+SQL_CONF = {
+    "spark.sql.execution.arrow.pyspark.enabled": "true",
+    "spark.sql.autoBroadcastJoinThreshold": "-1",
+    "spark.sql.execution.arrow.localRelationThreshold": "0",
+    "spark.sql.shuffle.partitions": "16",
+}
+
 
 def make_session(app: str):
-    """Local SparkSession mirroring the conftest fixture's config."""
+    """Local SparkSession with :data:`SQL_CONF`, the settings the test
+    fixture also reads, so inputs lifted from pandas are RDD-backed Arrow
+    relations here as in the tests."""
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
@@ -25,13 +43,7 @@ def make_session(app: str):
     )
     from pyspark.sql import SparkSession
 
-    s = (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "16")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    s = SparkSession.builder.appName(app).config(map=SQL_CONF).getOrCreate()
     s.sparkContext.setLogLevel("ERROR")
     return s
 

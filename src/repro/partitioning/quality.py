@@ -13,8 +13,13 @@ from a single aggregation. The experiment harness makes one such query per
 one-run case. The query looks up the part of every edge endpoint and of
 every training vertex in broadcasts of the assignment: the sessions disable
 automatic broadcast joins, and the query's ``BROADCAST`` hints opt it back
-in, so no join shuffles. The tests oracle-check the query against SQL of
-their own on DuckDB.
+in, so no join shuffles. Its inputs are lifted from pandas as RDD-backed
+Arrow relations, as the sessions set
+``spark.sql.execution.arrow.localRelationThreshold`` to 0: the plan scans
+them, rather than holding their rows as local relations that analysis and
+optimization walk again on every query. The tests oracle-check the query
+against SQL of their own on DuckDB, and check that its plan holds no data
+and no shuffle.
 """
 from __future__ import annotations
 
@@ -116,9 +121,7 @@ def edge_cut_query(edges: DataFrame, assign: DataFrame, *, split: DataFrame) -> 
     partitioner). Every edge is paired with each partitioner of ``assign``
     and looks up both endpoints by (partitioner, vertex), so one
     partitioner's parts never meet another's. It is one SQL statement,
-    analyzed once: built from DataFrame calls, each of which analyzes the
-    plan over the local relations again, the same plan took twice as long
-    to build.
+    analyzed once.
     """
     return edges.sparkSession.sql(_EDGE_CUT_SQL, edges=edges, assign=assign, split=split)
 

@@ -1,9 +1,14 @@
 """Partitioning-quality metrics, oracle-checked against DuckDB (paper Sec 2.1)."""
+import itertools
+import re
+
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.graphs.datasets import generate, n_vertices_of, split_to_spark, split_vertices
+from repro.graphs.datasets import (
+    generate, n_vertices_of, split_to_spark, split_vertices, summary,
+)
 from repro.graphs.generators import to_spark, undirected_view
 from repro.oracle import assert_equivalent
 from repro.partitioning import quality
@@ -123,6 +128,27 @@ class TestEdgeCutQuality:
             got, self.EDGE_CUT_SQL, edges=edges, assign=_stacked(*runs), split=split
         )
 
+    def test_plan_holds_no_data_and_no_shuffle(self, spark, graph, runs):
+        # The lifted inputs are RDD-backed, not local relations that carry
+        # their rows in the plan; every join reads a broadcast and every
+        # aggregate one partition, so the only exchanges are broadcasts.
+        edges, n = graph
+        got = quality.edge_cut_query(
+            to_spark(spark, edges),
+            assignment_to_spark(spark, *runs),
+            split=split_to_spark(spark, n, seed=7),
+        )
+        got.collect()
+        optimized = got._jdf.queryExecution().optimizedPlan().toString()
+        assert "LocalRelation" not in optimized
+        assert "LogicalRDD" in optimized
+        final = got._jdf.queryExecution().executedPlan().executedPlan().toString()
+        nodes = re.findall(r"^[\s:|+-]*(?:\*\(\d+\) )?(\w+)", final, flags=re.MULTILINE)
+        exchanges = {node for node in nodes if node.endswith("Exchange")}
+        assert "BroadcastExchange" in exchanges
+        assert exchanges <= {"BroadcastExchange", "ReusedExchange"}, final
+        assert "ShuffleQueryStage" not in nodes, final
+
     def test_stacked_query_equals_one_query_per_run(self, spark, graph, runs):
         edges, n = graph
         edges_sdf, split = to_spark(spark, edges), split_to_spark(spark, n, seed=7)
@@ -241,34 +267,46 @@ class TestEdgeCutQuality:
 
 
 def test_results_independent_of_physical_settings(spark, graph):
-    """Same metrics at 16 and 64 shuffle partitions, broadcast off and default."""
+    """Same metrics at 16 and 64 shuffle partitions, broadcast off and
+    default, and inputs lifted as RDD-backed or local relations."""
     edges, n = graph
     split_pdf = split_vertices(n, seed=7)
     runs = [
         run_partitioner(make_vertex_partitioner(p), edges, 4, n_vertices=n, split=split_pdf)
         for p in ("Random", "LDG", "Metis")
     ]
-    edges_sdf, split = to_spark(spark, edges), split_to_spark(spark, n, seed=7)
-    assign = assignment_to_spark(spark, *runs)
-    keys = ("spark.sql.shuffle.partitions", "spark.sql.autoBroadcastJoinThreshold")
+    keys = (
+        "spark.sql.shuffle.partitions",
+        "spark.sql.autoBroadcastJoinThreshold",
+        "spark.sql.execution.arrow.localRelationThreshold",
+    )
     old = {key: spark.conf.get(key) for key in keys}
-    results = {}
+    results, summaries, local_relation = {}, {}, {}
     try:
-        for partitions in (16, 64):
-            for threshold in ("-1", None):
-                spark.conf.set(keys[0], partitions)
-                if threshold is None:
-                    spark.conf.unset(keys[1])
+        for setting in itertools.product((16, 64), ("-1", None), ("0", None)):
+            for key, value in zip(keys, setting):
+                if value is None:
+                    spark.conf.unset(key)
                 else:
-                    spark.conf.set(keys[1], threshold)
-                results[partitions, threshold] = quality.edge_cut_qualities(
-                    edges_sdf, assign, 4, split=split
-                )
+                    spark.conf.set(key, value)
+            # Lifted here, so the local-relation threshold reaches them.
+            edges_sdf = to_spark(spark, edges)
+            results[setting] = quality.edge_cut_qualities(
+                edges_sdf, assignment_to_spark(spark, *runs), 4,
+                split=split_to_spark(spark, n, seed=7),
+            )
+            summaries[setting] = summary(spark, edges_sdf)
+            plan = edges_sdf._jdf.queryExecution().optimizedPlan().toString()
+            local_relation[setting[2]] = "LocalRelation" in plan
     finally:
         for key, value in old.items():
             spark.conf.set(key, value)
     assert {key: spark.conf.get(key) for key in keys} == old
-    first = results[16, "-1"]
+    assert len(results) == 8
+    assert local_relation == {"0": False, None: True}
+    first = results[16, "-1", "0"]
     assert sorted(first) == ["LDG", "Metis", "Random"]
     for got in results.values():
         assert got == first
+    for got in summaries.values():
+        assert got == summaries[16, "-1", "0"]
