@@ -8,9 +8,10 @@ def _driver_mem() -> str:
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
     limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
-    imported anywhere — this runs at conftest import, which pytest loads
-    before any test module.
+    from SparkConf: ``_common.make_session`` passes SPARK_DRIVER_MEM in
+    PYSPARK_SUBMIT_ARGS, so it must be set before any session starts —
+    this runs at conftest import, which pytest loads before any test
+    module.
 
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
     sysfs emulation may not pass the host limit through. An unbounded
@@ -39,42 +40,29 @@ def _driver_mem() -> str:
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
-os.environ.setdefault(
-    "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
-    f"--conf spark.driver.host=127.0.0.1 "
-    f"--conf spark.ui.enabled=false "
-    "pyspark-shell",
-)
 
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "jobs"))
-from _common import SQL_CONF  # noqa: E402
+from _common import make_session  # noqa: E402
 
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). The SQL settings are the jobs' (``_common.SQL_CONF``),
-    so the tests plan the queries the jobs run: Arrow lifts that become
-    RDD-backed relations rather than local relations holding their rows,
-    and no automatic broadcast join (the stacked edge-cut query,
-    ``quality.edge_cut_query``, opts back in with ``BROADCAST`` hints).
+    The jobs' session (``_common.make_session``): master, driver memory
+    (``SPARK_DRIVER_MEM``, set above) and SQL settings, so the tests plan
+    the queries the jobs run: Arrow lifts that become RDD-backed relations
+    rather than local relations holding their rows, and no automatic
+    broadcast join (the stacked edge-cut query, ``quality.edge_cut_query``,
+    opts back in with ``BROADCAST`` hints).
     Only the shuffle partitions differ: 64, or ``SPARK_SHUFFLE_PARTITIONS``.
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(map=SQL_CONF)
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .getOrCreate()
+    s = make_session("repro")
+    s.conf.set(
+        "spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64")
     )
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).

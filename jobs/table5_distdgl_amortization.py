@@ -1,15 +1,14 @@
 """Table 5 + Figures 12/13/15/16/19/24/26: the DistDGL track.
 
-Runs every vertex partition of the paper's DistDGL tables once, in cells
-that no two calls share:
+Runs every vertex partition of the paper's DistDGL tables once. Each graph
+is loaded once and handed to ``harness.distdgl_cells`` with its
+:func:`plan`: the sampling grid each k's rows read, or ``None`` for a
+cell that is measured but not sampled:
 
-* k=8, all five graphs and six vertex partitioners, GraphSage, global batch
-  64, the full feature/hidden/layers grid (Table 5), one
-  ``run_distdgl_suite`` call;
-* k ∈ {4, 32}, all five graphs, composed from the suite's two stages:
-  ``partition_cells`` on every graph (Figures 12/13/15 read its rows), and
-  ``sample_cells`` at f=512, h=64, L=3 only on ``FIG24_GRAPHS`` (the k=4/32
-  points of Figure 24), so no epoch is sampled that no table reads;
+* k=8, all five graphs: the full feature/hidden/layers grid, GraphSage,
+  global batch 64 (Table 5);
+* k ∈ {4, 32}, all five graphs: quality and time only (Figures 12/13/15),
+  and on ``FIG24_GRAPHS`` f=512, h=64, L=3 (the k=4/32 points of Figure 24);
 * k=16 on DI/EU at f=512, h=64, L=3 (Figure 24);
 * k=16 on OR over Figure 26's grid: f ∈ {64, 512}, h=64, L=3, GraphSage
   and GAT, global batch sizes ``BATCHES`` (Figure 26, and Figure 24's OR
@@ -44,21 +43,30 @@ from _common import make_session, save_and_print
 from repro.exp import tables
 from repro.exp.harness import (
     DEFAULT_GLOBAL_BATCH,
+    FEATURE_SIZES,
+    HIDDEN_DIMS,
+    NUM_LAYERS,
+    distdgl_cells,
     load_bundle,
-    partition_cells,
-    run_distdgl_suite,
-    sample_cells,
 )
 from repro.graphs.datasets import GRAPHS
 from repro.partitioning.registry import VERTEX_PARTITIONERS
 
 VERTEX_ROSTER = ["ByteGNN", "KaHIP", "LDG", "Spinner", "Metis"]
+#: Every vertex partitioner runs on every cell; Random is the baseline.
+PARTITIONERS = tuple(VERTEX_PARTITIONERS)
 
-#: The one configuration of the Figure 12/13/15 and Figure 24 cells.
-FIG_CONFIG = dict(
-    features=(512,), hiddens=(64,), layer_counts=(3,), kinds=("sage",),
-    global_batch=DEFAULT_GLOBAL_BATCH,
+#: Table 5: GraphSage at global batch 64 over the full Table 3 grid.
+TABLE5_GRID = dict(
+    features=FEATURE_SIZES, hiddens=HIDDEN_DIMS, layer_counts=NUM_LAYERS,
+    kinds=("sage",), global_batch=DEFAULT_GLOBAL_BATCH,
 )
+
+#: The one configuration of the Figure 24 cells.
+FIG_CONFIG = dict(TABLE5_GRID, features=(512,), hiddens=(64,), layer_counts=(3,))
+
+#: The cluster sizes whose quality and time Figures 12/13/15 show.
+FIG12_KS = (4, 32)
 
 #: Figure 24: GraphSage f=512, h=64, L=3 on a road graph and two skewed
 #: graphs, one row per (graph, partitioner, k).
@@ -71,6 +79,12 @@ FIG24_ROWS = (
 #: Figure 26: the paper's batch sizes 512..32768 are ~0.2-10% of OR's
 #: training set; 16..256 covers the same relative range at our scale.
 BATCHES = (16, 32, 64, 128, 256)
+#: Each OR partition serves every batch size; GraphSage and GAT rows of one
+#: batch size share its sampled epoch (the kind changes only flops).
+FIG26_GRID = dict(
+    features=(64, 512), hiddens=(64,), layer_counts=(3,), kinds=("sage", "gat"),
+    global_batch=BATCHES,
+)
 
 PRINT_KEYS = (
     "table5", "fig16_speedups", "fig12_cut", "fig15_time", "fig24a_speedup",
@@ -82,11 +96,11 @@ PRINT_KEYS = (
 def fig12_tables(q: pd.DataFrame) -> dict[str, pd.DataFrame]:
     """Figures 12/13/15: vertex-partitioner quality and time.
 
-    ``q`` is ``partition_cells``' rows, one per (graph, partitioner, k): the
-    Spark SQL edge-cut ratio (Figure 12), vertex and training-vertex balance
-    (Figure 13) and partitioning time (Figure 15, log scale in the paper).
-    They are ``fig12_quality``, pivoted over k as ``fig12_cut`` and
-    ``fig15_time``.
+    ``q`` is ``distdgl_cells``' quality rows at ``FIG12_KS``, one per
+    (graph, partitioner, k): the Spark SQL edge-cut ratio (Figure 12),
+    vertex and training-vertex balance (Figure 13) and partitioning time
+    (Figure 15, log scale in the paper). They are ``fig12_quality``,
+    pivoted over k as ``fig12_cut`` and ``fig15_time``.
     """
     return {
         "fig12_quality": q,
@@ -95,16 +109,16 @@ def fig12_tables(q: pd.DataFrame) -> dict[str, pd.DataFrame]:
     }
 
 
-def fig24_tables(*suites: pd.DataFrame) -> dict[str, pd.DataFrame]:
+def fig24_tables(rows: pd.DataFrame) -> dict[str, pd.DataFrame]:
     """Figure 24 series: DistDGL partitioner effectiveness vs scale-out factor.
 
-    Concatenates the ``FIG24_ROWS`` of ``suites`` (the k=8 Table 5 suite and
-    the other worker counts) and pivots speedup, remote vertices and
-    edge-cut in % of Random per (graph, partitioner) over k. The paper finds
-    the effectiveness *increases* with scale-out on DI but slightly
-    *decreases* on the skewed graphs.
+    Selects the ``FIG24_ROWS`` of the job's suite ``rows`` (at k=8 they are
+    Table 5 rows; at OR k=16, Figure 26 rows) and pivots speedup, remote
+    vertices and edge-cut in % of Random per (graph, partitioner) over k.
+    The paper finds the effectiveness *increases* with scale-out on DI but
+    slightly *decreases* on the skewed graphs.
     """
-    suite = pd.concat([s.query(FIG24_ROWS) for s in suites]).sort_values(
+    suite = rows.query(FIG24_ROWS).sort_values(
         ["graph", "k"], kind="stable", ignore_index=True
     )
     sel = suite[suite["partitioner"] != "Random"]
@@ -136,27 +150,28 @@ def fig26_tables(suite: pd.DataFrame) -> dict[str, pd.DataFrame]:
     }
 
 
+def plan(graph: str) -> dict[int, dict | None]:
+    """The sampling grid each k of ``graph`` reads, or ``None`` if no table
+    reads an epoch of that k's cells (see the module docstring)."""
+    fig24 = FIG_CONFIG if graph in FIG24_GRAPHS else None
+    cells = {4: fig24, 8: TABLE5_GRID, 32: fig24}
+    if graph in FIG24_GRAPHS:
+        cells[16] = FIG26_GRID if graph == "OR" else FIG_CONFIG
+    return dict(sorted(cells.items()))
+
+
 def run(spark, *, scale: float = 1e-3, seed: int = 0) -> dict[str, pd.DataFrame]:
-    suite = run_distdgl_suite(spark, ks=(8,), scale=scale, seed=seed)
-    cells, fig24_k4_32 = [], []
-    for gname in GRAPHS:
-        b = load_bundle(gname, scale=scale, seed=seed)
-        q, runs = partition_cells(
-            spark, b, partitioners=tuple(VERTEX_PARTITIONERS), ks=(4, 32), seed=seed
+    per_graph = [
+        distdgl_cells(
+            spark, load_bundle(g, scale=scale, seed=seed),
+            partitioners=PARTITIONERS, grids=plan(g), seed=seed,
         )
-        cells.append(q)
-        if gname in FIG24_GRAPHS:
-            fig24_k4_32.append(sample_cells(b, q, runs, **FIG_CONFIG, seed=seed))
-    k16 = run_distdgl_suite(
-        spark, graphs=("DI", "EU"), ks=(16,), **FIG_CONFIG, scale=scale, seed=seed
-    )
-    # Each OR partition serves every batch size; GraphSage and GAT rows of
-    # one batch size share its sampled epoch (the kind changes only flops).
-    fig26 = run_distdgl_suite(
-        spark, graphs=("OR",), ks=(16,), features=(64, 512), hiddens=(64,),
-        layer_counts=(3,), kinds=("sage", "gat"), global_batch=BATCHES,
-        scale=scale, seed=seed,
-    )
+        for g in GRAPHS
+    ]
+    cells = pd.concat([c for c, _ in per_graph], ignore_index=True)
+    rows = pd.concat([r for _, r in per_graph], ignore_index=True)
+    suite = rows[rows["k"] == 8].reset_index(drop=True)
+    fig26 = rows.query("graph == 'OR' and k == 16").reset_index(drop=True)
     t5 = tables.amortization_table(suite, partitioners=VERTEX_ROSTER)
     speedups = (
         tables.mean_speedups(suite, by=("graph", "partitioner"))
@@ -172,8 +187,8 @@ def run(spark, *, scale: float = 1e-3, seed: int = 0) -> dict[str, pd.DataFrame]
         "table5": t5.map(lambda v: float("nan") if v is None else v),
         "fig16_speedups": speedups,
         "phase_shares": phases,
-        **fig12_tables(pd.concat(cells, ignore_index=True)),
-        **fig24_tables(suite, *fig24_k4_32, k16, fig26),
+        **fig12_tables(cells[cells["k"].isin(FIG12_KS)].reset_index(drop=True)),
+        **fig24_tables(rows),
         **fig26_tables(fig26),
     }
 

@@ -1,23 +1,18 @@
 """Experiment harness: sweep graphs x partitioners x cluster sizes x configs.
 
-Two suites mirror the paper's two tracks:
+Two tracks, as in the paper:
 
 * :func:`run_distgnn_suite` — edge partitioners (vertex-cut), full-batch
   GraphSage; pure driver computation fed by really-executed partition runs.
-* :func:`run_distdgl_suite` — vertex partitioners (edge-cut), mini-batch
-  GraphSage/GCN/GAT, in two stages per graph. :func:`partition_cells` runs
-  every partitioner of a (graph, k) back to back, then makes one stacked
-  Spark SQL quality query over all of their runs: edge-cut, vertex balance
-  and training-vertex balance (Figs 12/13). :func:`sample_cells` feeds
-  every row by a really-executed sampling epoch on those runs (on the
-  driver, over a CSR adjacency built once per graph).
+* :func:`distdgl_cells` — vertex partitioners (edge-cut), mini-batch
+  GraphSage/GCN/GAT on one graph: one stacked Spark SQL quality query per
+  k, and a really-executed sampling epoch only on the k that have a grid.
+  :func:`run_distdgl_suite` is its uniform case: the same grid on every k.
 
-Each suite runs every partitioner once per (graph, k), and the DistDGL
-suite samples one epoch per (batch size, layer count) on that run; every
-config and model kind in the grid is evaluated on those. A job that needs
-a run's quality but no epoch composes the two stages itself. Jobs select
-their tables from the suite rows and persist them under ``results/`` as
-parquet.
+Each partitioner runs once per (graph, k), and each DistDGL run is sampled
+once per (batch size, layer count); every config and model kind of a grid
+is evaluated on those. Jobs select their tables from the rows and persist
+them under ``results/`` as parquet.
 """
 from __future__ import annotations
 
@@ -155,27 +150,37 @@ def _with_random_baseline(
     return out
 
 
-def partition_cells(
+def distdgl_cells(
     spark: SparkSession,
     b: GraphBundle,
     *,
     partitioners: tuple[str, ...],
-    ks: tuple[int, ...],
+    grids: dict[int, dict | None],
     seed: int,
-) -> tuple[pd.DataFrame, list[PartitionRun]]:
-    """Stage 1 of the DistDGL suite: partition ``b`` once per (partitioner, k).
+) -> tuple[pd.DataFrame, pd.DataFrame]:
+    """DistDGL track on one graph: partition, measure and sample its cells.
 
-    The partitioners of one k run back to back, then one stacked Spark SQL
-    query (:func:`quality.edge_cut_qualities`, over the graph's edges and
-    its train/val/test split) measures all of their runs. Returns one row
-    per (partitioner, k) cell, with its ``edge_cut``, ``vertex_balance``,
-    ``train_vertex_balance`` and partitioning time, and the runs in the
-    same order.
+    Per k of ``grids``, the partitioners run back to back, then one stacked
+    Spark SQL query (:func:`quality.edge_cut_qualities`, over the edges and
+    the train/val/test split) measures all of their runs. ``grids[k]`` is
+    the sampling grid the rows of that k read (``features``, ``hiddens``,
+    ``layer_counts``, ``kinds`` and ``global_batch``, one size or a tuple),
+    or ``None``: measured, never sampled. A sampled run gets one epoch per
+    (batch size, layer count), on the driver over a CSR adjacency built
+    once; its (feature, hidden, kind) rows all read that epoch, since these
+    knobs change only the flop and byte counts.
+
+    Returns the quality rows, one per (partitioner, k): ``edge_cut``,
+    ``vertex_balance``, ``train_vertex_balance`` and partitioning time
+    (Figs 12/13/15); and the suite rows, one per (partitioner, k, batch,
+    config, kind), with their cell's quality columns and each speedup and
+    percentage against the Random row of their group.
     """
     edges_sdf, split_sdf = to_spark(spark, b.edges), spark.createDataFrame(b.split)
-    rows, runs = [], []
-    for k in ks:
-        runs_k = [
+    indptr, indices = csr_adjacency(b.edges, b.n_vertices)
+    cells, rows = [], []
+    for k, grid in grids.items():
+        runs = [
             run_partitioner(
                 make_vertex_partitioner(pname), b.edges, k,
                 n_vertices=b.n_vertices, seed=seed, split=b.split,
@@ -183,95 +188,79 @@ def partition_cells(
             for pname in partitioners
         ]
         qs = quality.edge_cut_qualities(
-            edges_sdf, assignment_to_spark(spark, *runs_k), k, split=split_sdf
+            edges_sdf, assignment_to_spark(spark, *runs), k, split=split_sdf
         )
-        for run in runs_k:
+        for run in runs:
             q = qs[run.partitioner]
-            rows.append(
-                {
-                    "graph": b.name,
-                    "partitioner": run.partitioner,
-                    "k": k,
-                    "edge_cut": q.edge_cut_ratio,
-                    "vertex_balance": q.vertex_balance,
-                    "train_vertex_balance": q.train_vertex_balance,
-                    "partition_seconds": run.seconds,
-                    "partition_seconds_norm": partition_time_model(
-                        run.partitioner, run.seconds, len(b.edges)
-                    ),
-                }
-            )
-        runs += runs_k
-    return pd.DataFrame(rows), runs
+            cell = {
+                "edge_cut": q.edge_cut_ratio,
+                "vertex_balance": q.vertex_balance,
+                "train_vertex_balance": q.train_vertex_balance,
+                "partition_seconds": run.seconds,
+                "partition_seconds_norm": partition_time_model(
+                    run.partitioner, run.seconds, len(b.edges)
+                ),
+            }
+            cells.append({"graph": b.name, "partitioner": run.partitioner, "k": k, **cell})
+            if grid is not None:
+                rows += _sampled_rows(b, run, cell, indptr, indices, **grid, seed=seed)
+    suite = pd.DataFrame(rows)
+    if rows:
+        suite = _with_random_baseline(
+            suite, ["graph", "k", "kind", "feature", "hidden", "layers", "global_batch"],
+            {
+                "network_bytes": "net_pct_of_random",
+                "remote_inputs": "remote_pct_of_random",
+                "edge_cut": "cut_pct_of_random",
+            },
+        )
+    return pd.DataFrame(cells), suite
 
 
-def sample_cells(
-    b: GraphBundle,
-    cells: pd.DataFrame,
-    runs: list[PartitionRun],
-    *,
-    features: tuple[int, ...],
-    hiddens: tuple[int, ...],
-    layer_counts: tuple[int, ...],
-    kinds: tuple[str, ...],
-    global_batch: int | tuple[int, ...],
-    seed: int,
-) -> pd.DataFrame:
-    """Stage 2 of the DistDGL suite: sample and simulate :func:`partition_cells`' runs.
-
-    One row per (partitioner, k, batch, config, kind) of ``b``, with the
-    quality columns of its cell and each speedup and percentage against the
-    Random row of its group.
-    """
-    indptr, indices = csr_adjacency(b.edges, b.n_vertices)
+def _sampled_rows(
+    b: GraphBundle, run: PartitionRun, cell: dict, indptr, indices, *,
+    features, hiddens, layer_counts, kinds, global_batch, seed: int,
+) -> list[dict]:
+    """The suite rows of one sampled run, with its ``cell``'s quality columns."""
+    owner = run.assignment["part"].to_numpy()
     rows = []
-    for cell, run in zip(cells.to_dict("records"), runs):
-        owner = run.assignment["part"].to_numpy()
-        for gbs in np.atleast_1d(global_batch).tolist():
-            seeds = plan_batches(b.train, owner, run.k, gbs, seed=seed)
-            for L in layer_counts:
-                stats = sample_epoch(
-                    indptr, indices, seeds, owner, FANOUTS[L],
-                    seed=seed, global_batch=gbs,
+    for gbs in np.atleast_1d(global_batch).tolist():
+        seeds = plan_batches(b.train, owner, run.k, gbs, seed=seed)
+        for L in layer_counts:
+            stats = sample_epoch(
+                indptr, indices, seeds, owner, FANOUTS[L],
+                seed=seed, global_batch=gbs,
+            )
+            for f, h, kind in itertools.product(features, hiddens, kinds):
+                cfg = distgnn.GNNConfig(feature=f, hidden=h, layers=L, kind=kind)
+                ph = distdgl.phase_times(stats, cfg)
+                rows.append(
+                    {
+                        "graph": b.name,
+                        "partitioner": run.partitioner,
+                        "k": run.k,
+                        "kind": kind,
+                        "global_batch": gbs,
+                        "feature": f,
+                        "hidden": h,
+                        "layers": L,
+                        "epoch_seconds": ph.epoch_seconds,
+                        "t_sampling": ph.sampling,
+                        "t_fetch": ph.feature_fetch,
+                        "t_forward": ph.forward,
+                        "t_backward": ph.backward,
+                        "network_bytes": distdgl.network_bytes(stats, cfg),
+                        "edge_cut": cell["edge_cut"],
+                        "vertex_balance": cell["vertex_balance"],
+                        "train_vertex_balance": cell["train_vertex_balance"],
+                        "remote_inputs": stats.epoch_total("remote_inputs"),
+                        "input_vertices": stats.epoch_total("input_vertices"),
+                        "input_vertex_balance": stats.input_vertex_balance(),
+                        "partition_seconds": cell["partition_seconds"],
+                        "partition_seconds_norm": cell["partition_seconds_norm"],
+                    }
                 )
-                for f, h, kind in itertools.product(features, hiddens, kinds):
-                    cfg = distgnn.GNNConfig(feature=f, hidden=h, layers=L, kind=kind)
-                    ph = distdgl.phase_times(stats, cfg)
-                    rows.append(
-                        {
-                            "graph": b.name,
-                            "partitioner": run.partitioner,
-                            "k": run.k,
-                            "kind": kind,
-                            "global_batch": gbs,
-                            "feature": f,
-                            "hidden": h,
-                            "layers": L,
-                            "epoch_seconds": ph.epoch_seconds,
-                            "t_sampling": ph.sampling,
-                            "t_fetch": ph.feature_fetch,
-                            "t_forward": ph.forward,
-                            "t_backward": ph.backward,
-                            "network_bytes": distdgl.network_bytes(stats, cfg),
-                            "edge_cut": cell["edge_cut"],
-                            "vertex_balance": cell["vertex_balance"],
-                            "train_vertex_balance": cell["train_vertex_balance"],
-                            "remote_inputs": stats.epoch_total("remote_inputs"),
-                            "input_vertices": stats.epoch_total("input_vertices"),
-                            "input_vertex_balance": stats.input_vertex_balance(),
-                            "partition_seconds": cell["partition_seconds"],
-                            "partition_seconds_norm": cell["partition_seconds_norm"],
-                        }
-                    )
-    return _with_random_baseline(
-        pd.DataFrame(rows),
-        ["graph", "k", "kind", "feature", "hidden", "layers", "global_batch"],
-        {
-            "network_bytes": "net_pct_of_random",
-            "remote_inputs": "remote_pct_of_random",
-            "edge_cut": "cut_pct_of_random",
-        },
-    )
+    return rows
 
 
 def run_distdgl_suite(
@@ -290,27 +279,21 @@ def run_distdgl_suite(
 ) -> pd.DataFrame:
     """DistDGL track: one row per (graph, partitioner, k, batch, config, kind).
 
-    ``global_batch`` is one size or a tuple of sizes. Both stages run for
-    one graph before the next graph is loaded: :func:`partition_cells` runs
-    each partitioner once per (graph, k) and makes one stacked Spark SQL
-    query per (graph, k) for the ``edge_cut``, ``vertex_balance`` and
-    ``train_vertex_balance`` columns of Figs 12/13; :func:`sample_cells`
-    samples one epoch per (batch size, layer count) on each run, so that
-    one run serves every batch size. Every (feature, hidden, kind) row of
-    that epoch reads the same sample: these knobs change only the flop and
-    byte counts, not the sampled graph.
+    The uniform case of :func:`distdgl_cells`: every k of every graph is
+    sampled over the same grid, one graph loaded at a time. ``global_batch``
+    is one size or a tuple of sizes.
     """
-    frames = []
-    for gname in graphs:
-        b = load_bundle(gname, scale=scale, seed=seed)
-        cells, runs = partition_cells(
-            spark, b, partitioners=partitioners, ks=ks, seed=seed
-        )
-        frames.append(
-            sample_cells(
-                b, cells, runs, features=features, hiddens=hiddens,
-                layer_counts=layer_counts, kinds=kinds, global_batch=global_batch,
-                seed=seed,
-            )
-        )
-    return pd.concat(frames, ignore_index=True)
+    grid = dict(
+        features=features, hiddens=hiddens, layer_counts=layer_counts,
+        kinds=kinds, global_batch=global_batch,
+    )
+    return pd.concat(
+        [
+            distdgl_cells(
+                spark, load_bundle(g, scale=scale, seed=seed),
+                partitioners=partitioners, grids=dict.fromkeys(ks, grid), seed=seed,
+            )[1]
+            for g in graphs
+        ],
+        ignore_index=True,
+    )

@@ -10,7 +10,24 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.simulate.amortization import epochs_to_amortize
+
+def epochs_to_amortize(
+    partition_seconds: float,
+    epoch_seconds_random: float,
+    epoch_seconds_partitioner: float,
+) -> float | None:
+    """Epochs until the saved training time pays for the partitioning.
+
+    A partitioner amortizes after ``t_part / (T_random - T_p)`` epochs, where
+    ``t_part`` is its (normalized) partitioning time and ``T_*`` are
+    per-epoch training times; Random partitioning is assumed free (paper
+    Section 4.3(5)). A partitioner that slows training down never amortizes
+    (the paper prints "no"): ``None``.
+    """
+    saved = epoch_seconds_random - epoch_seconds_partitioner
+    if saved <= 0:
+        return None
+    return partition_seconds / saved
 
 
 def amortization_table(suite: pd.DataFrame, *, partitioners: list[str]) -> pd.DataFrame:

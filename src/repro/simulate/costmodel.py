@@ -81,15 +81,12 @@ PYTHON_PENALTY: dict[str, float] = {
 }
 
 
-def normalized_partition_seconds(partitioner: str, measured_seconds: float) -> float:
-    """Measured wall-clock -> native-tool-equivalent compute seconds."""
-    return measured_seconds / PYTHON_PENALTY.get(partitioner, 1.0)
-
-
 def partition_time_model(
     partitioner: str, measured_seconds: float, n_edges: int
 ) -> float:
-    """Native-tool-equivalent partitioning time: graph I/O + compute."""
-    return n_edges * IO_COST_PER_EDGE + normalized_partition_seconds(
-        partitioner, measured_seconds
-    )
+    """Native-tool-equivalent partitioning time: graph I/O + compute.
+
+    The compute is the measured wall-clock over the partitioner's
+    :data:`PYTHON_PENALTY`; a partitioner without one raises ``KeyError``.
+    """
+    return n_edges * IO_COST_PER_EDGE + measured_seconds / PYTHON_PENALTY[partitioner]

@@ -70,13 +70,13 @@ class TestFig2Job:
 
 
 class TestFig12Job:
-    """Figs 12/13/15, selected by the Table 5 job from its stage-1 rows."""
+    """Figs 12/13/15, selected by the Table 5 job from its quality rows."""
 
     @pytest.fixture(scope="class")
     def out(self, spark):
         cells = [
-            harness.partition_cells(
-                spark, harness.load_bundle(g, scale=SCALE), ks=(4,), seed=0,
+            harness.distdgl_cells(
+                spark, harness.load_bundle(g, scale=SCALE), grids={4: None}, seed=0,
                 partitioners=tuple(VERTEX_PARTITIONERS),
             )[0]
             for g in GRAPHS
@@ -109,13 +109,17 @@ JOB_GRAPHS = ("EN", "EU", "OR")
 def job(spark):
     """The Table 5 job, cut down to EN/EU/OR, Random+Metis, h=64, L=3.
 
-    Also counts, per (graph, k), the partition runs per partitioner, the
-    stacked quality queries and the sampled epochs.
+    Also counts the graph loads, and, per (graph, k), the partition runs per
+    partitioner, the stacked quality queries and the sampled epochs.
     """
     job = table5_distdgl_amortization
     graph_of = {harness.load_bundle(g, scale=SCALE).n_vertices: g for g in JOB_GRAPHS}
     assert len(graph_of) == len(JOB_GRAPHS)
-    calls, queries, epochs = Counter(), Counter(), Counter()
+    loads, calls, queries, epochs = Counter(), Counter(), Counter(), Counter()
+
+    def counted_load(name, **kwargs):
+        loads[name] += 1
+        return harness.load_bundle(name, **kwargs)
 
     def counted(p, edges, k, **kwargs):
         calls[graph_of[kwargs["n_vertices"]], p.name, k] += 1
@@ -130,23 +134,16 @@ def job(spark):
         epochs[graph_of[len(indptr) - 1], stats.k] += 1
         return stats
 
-    def small_suite(spark, *, graphs=("HW", "DI", "EN", "EU", "OR"), **kwargs):
-        kwargs.update(partitioners=("Random", "Metis"), hiddens=(64,), layer_counts=(3,))
-        graphs = tuple(g for g in graphs if g in JOB_GRAPHS)
-        return run_distdgl_suite(spark, graphs=graphs, **kwargs)
-
-    def small_cells(spark, b, *, partitioners, **kwargs):
-        return harness.partition_cells(spark, b, partitioners=("Random", "Metis"), **kwargs)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(job, "run_distdgl_suite", small_suite)
-        mp.setattr(job, "partition_cells", small_cells)
         mp.setattr(job, "GRAPHS", JOB_GRAPHS)
+        mp.setattr(job, "PARTITIONERS", ("Random", "Metis"))
+        mp.setattr(job, "TABLE5_GRID", dict(job.TABLE5_GRID, hiddens=(64,), layer_counts=(3,)))
+        mp.setattr(job, "load_bundle", counted_load)
         mp.setattr(harness, "run_partitioner", counted)
         mp.setattr(harness, "sample_epoch", counted_epoch)
         mp.setattr(quality, "edge_cut_qualities", counted_query)
         out = job.run(spark, scale=SCALE)
-    return out, calls, queries, epochs
+    return out, loads, calls, queries, epochs
 
 
 class TestTable5Job:
@@ -177,20 +174,24 @@ class TestTable5Job:
             "ByteGNN", "KaHIP", "LDG", "Spinner", "Metis"
         ]
 
+    def test_each_graph_loaded_once(self, job):
+        _, loads, _, _, _ = job
+        assert loads == dict.fromkeys(JOB_GRAPHS, 1)
+
     def test_each_cell_partitioned_once(self, job):
-        _, calls, _, _ = job
+        _, _, calls, _, _ = job
         # 2 partitioners x (EU, OR at k in {4, 8, 16, 32} + EN at k in {4, 8, 32}),
         # no cell twice.
         assert len(calls) == 22
         assert set(calls.values()) == {1}
 
     def test_one_quality_query_per_graph_and_k(self, job):
-        _, calls, queries, _ = job
+        _, _, calls, queries, _ = job
         assert set(queries) == {(g, k) for g, _, k in calls}
         assert set(queries.values()) == {1}
 
     def test_no_epoch_that_no_table_reads(self, job):
-        _, _, _, epochs = job
+        _, _, _, _, epochs = job
         # L=3 only: one epoch per partitioner, and OR k=16 once per Fig 26 batch size.
         assert epochs == {
             **{(g, k): 2 for g in JOB_GRAPHS for k in (4, 8, 32) if g != "EN"},

@@ -7,9 +7,14 @@ from repro.gnn.sampling import FANOUTS, plan_batches, sample_epoch
 from repro.partitioning.base import run_partitioner
 from repro.partitioning.edge.hep import hep100
 from repro.partitioning.edge.random_ep import RandomEdgePartitioner
-from repro.partitioning.registry import make_vertex_partitioner
-from repro.simulate import amortization, distdgl, distgnn
-from repro.simulate.costmodel import PYTHON_PENALTY, normalized_partition_seconds
+from repro.exp.tables import epochs_to_amortize
+from repro.partitioning.registry import (
+    EDGE_PARTITIONERS,
+    VERTEX_PARTITIONERS,
+    make_vertex_partitioner,
+)
+from repro.simulate import distdgl, distgnn
+from repro.simulate.costmodel import IO_COST_PER_EDGE, PYTHON_PENALTY, partition_time_model
 
 SCALE = 1e-4
 
@@ -175,26 +180,21 @@ class TestDistDGLPhases:
 
 class TestAmortization:
     def test_basic_division(self):
-        assert amortization.epochs_to_amortize(10.0, 3.0, 1.0) == pytest.approx(5.0)
+        assert epochs_to_amortize(10.0, 3.0, 1.0) == pytest.approx(5.0)
 
     def test_slowdown_returns_none(self):
-        assert amortization.epochs_to_amortize(10.0, 1.0, 2.0) is None
-        assert amortization.epochs_to_amortize(10.0, 1.0, 1.0) is None
-
-    def test_penalty_normalization(self):
-        assert normalized_partition_seconds("HDRF", 40.0) == pytest.approx(
-            40.0 / PYTHON_PENALTY["HDRF"]
-        )
-        assert normalized_partition_seconds("Random", 40.0) == pytest.approx(40.0)
-        assert set(PYTHON_PENALTY) >= {
-            "Random", "DBH", "HDRF", "2PS-L", "HEP10", "HEP100",
-            "LDG", "Spinner", "Metis", "ByteGNN", "KaHIP",
-        }
+        assert epochs_to_amortize(10.0, 1.0, 2.0) is None
+        assert epochs_to_amortize(10.0, 1.0, 1.0) is None
 
     def test_partition_time_model_adds_io_floor(self):
-        from repro.simulate.costmodel import IO_COST_PER_EDGE, partition_time_model
-
         t = partition_time_model("HDRF", 40.0, 1_000_000)
         assert t == pytest.approx(
             1_000_000 * IO_COST_PER_EDGE + 40.0 / PYTHON_PENALTY["HDRF"]
         )
+        # Random runs at native speed: its penalty is 1.
+        assert partition_time_model("Random", 40.0, 0) == pytest.approx(40.0)
+
+    def test_every_partitioner_has_a_penalty(self):
+        assert set(EDGE_PARTITIONERS) | set(VERTEX_PARTITIONERS) <= set(PYTHON_PENALTY)
+        with pytest.raises(KeyError):
+            partition_time_model("Metiss", 40.0, 1_000_000)
