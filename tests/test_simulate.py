@@ -186,13 +186,23 @@ class TestAmortization:
         assert epochs_to_amortize(10.0, 1.0, 2.0) is None
         assert epochs_to_amortize(10.0, 1.0, 1.0) is None
 
+    def test_penalty_normalization(self):
+        # With no edges to read, the model is the measured time over the penalty.
+        assert partition_time_model("HDRF", 40.0, 0) == pytest.approx(
+            40.0 / PYTHON_PENALTY["HDRF"]
+        )
+        # Random runs at native speed: its penalty is 1.
+        assert partition_time_model("Random", 40.0, 0) == pytest.approx(40.0)
+        assert set(PYTHON_PENALTY) >= {
+            "Random", "DBH", "HDRF", "2PS-L", "HEP10", "HEP100",
+            "LDG", "Spinner", "Metis", "ByteGNN", "KaHIP",
+        }
+
     def test_partition_time_model_adds_io_floor(self):
         t = partition_time_model("HDRF", 40.0, 1_000_000)
         assert t == pytest.approx(
             1_000_000 * IO_COST_PER_EDGE + 40.0 / PYTHON_PENALTY["HDRF"]
         )
-        # Random runs at native speed: its penalty is 1.
-        assert partition_time_model("Random", 40.0, 0) == pytest.approx(40.0)
 
     def test_every_partitioner_has_a_penalty(self):
         assert set(EDGE_PARTITIONERS) | set(VERTEX_PARTITIONERS) <= set(PYTHON_PENALTY)
