@@ -13,7 +13,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import pandas as pd
 
 from _common import make_session, save_and_print
-from repro.graphs.datasets import BENCH_SCALE, GRAPHS, load, summary
+from repro.exp.harness import load_bundle
+from repro.graphs.datasets import BENCH_SCALE, GRAPHS, summary
+from repro.graphs.generators import to_spark
 
 PRINT_KEYS = ("table1",)
 
@@ -22,7 +24,7 @@ def run(spark, *, scale: float = BENCH_SCALE, seed: int = 0) -> dict[str, pd.Dat
     rows = []
     for name, spec in GRAPHS.items():
         n_v, n_e = spec.sizes(scale)
-        s = summary(spark, load(spark, name, scale=scale, seed=seed))
+        s = summary(spark, to_spark(spark, load_bundle(name, scale=scale, seed=seed).edges))
         rows.append(
             {
                 "graph": name,

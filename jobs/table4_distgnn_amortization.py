@@ -62,29 +62,16 @@ def fig2_tables(suite: pd.DataFrame) -> dict[str, pd.DataFrame]:
 def run(spark=None, *, scale: float = 1e-3, seed: int = 0) -> dict[str, pd.DataFrame]:
     suite = run_distgnn_suite(scale=scale, seed=seed)
     # Paper Table 4 covers the four graphs that train under Random (DI OOMs).
-    t4 = tables.amortization_table(
-        suite[suite["graph"] != "DI"], partitioners=EDGE_ROSTER
-    )
+    t4 = tables.amortization_table(suite[suite["graph"] != "DI"], partitioners=EDGE_ROSTER)
+    others = suite[suite["partitioner"] != "Random"]
     index = ["graph", "partitioner"]
-    speedups = tables.pivot(tables.mean_speedups(suite), index, "k", "mean", 2)
-    mem = tables.pivot(
-        tables.mean_metric_pct(suite, "mem_pct_of_random"), index, "k", "mem_pct_of_random", 1
-    )
-    rf_pct = (
-        suite[suite["partitioner"] != "Random"]
-        .groupby(["partitioner", "k"])["rf_pct_of_random"]
-        .mean()
-        .unstack()
-        .round(2)
-    )
-    oom = suite.groupby(["graph", "partitioner"])["oom"].mean().unstack().round(2)
     return {
         "suite": suite,
-        "table4": t4.map(lambda v: float("nan") if v is None else v),
-        "fig7_speedups": speedups,
-        "fig9_mem": mem,
-        "fig11_rf_pct": rf_pct.reset_index(),
-        "oom": oom.reset_index(),
+        "table4": t4,
+        "fig7_speedups": tables.pivot(others, index, "k", "speedup", 2),
+        "fig9_mem": tables.pivot(others, index, "k", "mem_pct_of_random", 1),
+        "fig11_rf_pct": tables.pivot(others, ["partitioner"], "k", "rf_pct_of_random", 2),
+        "oom": tables.pivot(suite, ["graph"], "partitioner", "oom", 2),
         **fig2_tables(suite),
     }
 

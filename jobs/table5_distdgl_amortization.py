@@ -172,9 +172,11 @@ def run(spark, *, scale: float = 1e-3, seed: int = 0) -> dict[str, pd.DataFrame]
     rows = pd.concat([r for _, r in per_graph], ignore_index=True)
     suite = rows[rows["k"] == 8].reset_index(drop=True)
     fig26 = rows.query("graph == 'OR' and k == 16").reset_index(drop=True)
-    t5 = tables.amortization_table(suite, partitioners=VERTEX_ROSTER)
     speedups = (
-        tables.mean_speedups(suite, by=("graph", "partitioner"))
+        suite[suite["partitioner"] != "Random"]
+        .groupby(["graph", "partitioner"])["speedup"]
+        .agg(["mean", "min", "max"])
+        .reset_index()
         .round(3)
     )
     rep = suite[(suite["feature"] == 512) & (suite["hidden"] == 64) & (suite["layers"] == 3)]
@@ -184,7 +186,7 @@ def run(spark, *, scale: float = 1e-3, seed: int = 0) -> dict[str, pd.DataFrame]
     ].reset_index(drop=True)
     return {
         "suite": suite,
-        "table5": t5.map(lambda v: float("nan") if v is None else v),
+        "table5": tables.amortization_table(suite, partitioners=VERTEX_ROSTER),
         "fig16_speedups": speedups,
         "phase_shares": phases,
         **fig12_tables(cells[cells["k"].isin(FIG12_KS)].reset_index(drop=True)),

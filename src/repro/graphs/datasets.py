@@ -127,11 +127,6 @@ def generate(name: str, *, scale: float = TEST_SCALE, seed: int = 0) -> pd.DataF
     return edges
 
 
-def load(spark: SparkSession, name: str, *, scale: float = TEST_SCALE, seed: int = 0) -> DataFrame:
-    """Spark edges DataFrame for paper graph ``name`` at ``scale``."""
-    return generators.to_spark(spark, generate(name, scale=scale, seed=seed))
-
-
 def n_vertices_of(edges: pd.DataFrame) -> int:
     """Vertex-universe size: ids are dense-ish, use max id + 1."""
     if len(edges) == 0:

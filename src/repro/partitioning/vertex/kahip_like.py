@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.partitioning.base import VertexPartitioner
-from repro.partitioning.vertex.multilevel import cut_weight, multilevel_partition
+from repro.partitioning.vertex.multilevel import cut_weight, multilevel_partition, refine_fm
 
 #: Independent multilevel runs; the lowest cut wins.
 RESTARTS = 4
@@ -37,7 +37,7 @@ class KaHIPLikePartitioner(VertexPartitioner):
         best_cut = np.inf
         for r in range(RESTARTS):
             part = multilevel_partition(
-                eu, ev, n_vertices, k, seed=seed * 7919 + r, refiner="fm"
+                eu, ev, n_vertices, k, seed=seed * 7919 + r, refine=refine_fm
             )
             c = cut_weight(eu, ev, ew, part)
             if c < best_cut:

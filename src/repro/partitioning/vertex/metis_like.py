@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.partitioning.base import VertexPartitioner
-from repro.partitioning.vertex.multilevel import multilevel_partition
+from repro.partitioning.vertex.multilevel import multilevel_partition, refine_oneshot
 
 
 class MetisLikePartitioner(VertexPartitioner):
@@ -25,5 +25,5 @@ class MetisLikePartitioner(VertexPartitioner):
             n_vertices,
             k,
             seed=seed,
-            refiner="oneshot",
+            refine=refine_oneshot,
         )

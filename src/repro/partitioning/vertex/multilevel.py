@@ -21,6 +21,7 @@ inherently sequential matching/FM loops.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,13 +277,13 @@ def multilevel_partition(
     k: int,
     *,
     seed: int = 0,
-    refiner: str = "oneshot",
+    refine: Callable[[_Level, np.ndarray, int], np.ndarray],
 ) -> np.ndarray:
-    """Full multilevel pipeline; ``refiner`` in {"oneshot", "fm"}."""
+    """Full multilevel pipeline, refining every level with ``refine``
+    (:func:`refine_oneshot` or :func:`refine_fm`)."""
     rng = np.random.default_rng(seed)
     levels = coarsen(eu, ev, n_vertices, k, rng)
     part = initial_partition(levels[-1], k, rng)
-    refine = refine_fm if refiner == "fm" else refine_oneshot
     for lvl in range(len(levels) - 1, -1, -1):
         part = refine(levels[lvl], part, k)
         if lvl > 0:

@@ -22,7 +22,7 @@ regimes the paper reports, not to match absolute seconds):
   graph scale so out-of-memory verdicts are meaningful on the ~1/1000
   stand-in graphs.
 
-``python_penalty`` normalizes our partitioners' measured wall-clock to the
+``PYTHON_PENALTY`` normalizes our partitioners' measured wall-clock to the
 paper's C++ tools: vectorized-numpy partitioners run near native speed,
 per-edge interpreted loops are ~40x slower than the C++ equivalents. The
 *measured* seconds are always reported alongside the normalized ones.

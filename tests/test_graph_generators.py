@@ -162,7 +162,7 @@ class TestSparkIntegration:
         assert df.count() == 2
 
     def test_summary_matches_pandas(self, spark):
-        from repro.graphs.datasets import load, summary
+        from repro.graphs.datasets import summary
 
         pdf = generate("OR", scale=1e-4, seed=0)
         s = summary(spark, generators.to_spark(spark, pdf))
@@ -171,4 +171,3 @@ class TestSparkIntegration:
         assert s["n_vertices"] == len(deg)
         assert s["max_degree"] == deg.max()
         assert np.isclose(s["mean_degree"], deg.mean())
-        assert load(spark, "OR", scale=1e-4, seed=0).count() == len(pdf)

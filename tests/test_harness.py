@@ -250,8 +250,4 @@ class TestTables:
     def test_amortization_values_positive(self, gnn_suite):
         t = tables.amortization_table(gnn_suite, partitioners=["HEP100"])
         v = t.loc["EU", "HEP100"]
-        assert v is None or v > 0
-
-    def test_mean_speedups_excludes_random(self, gnn_suite):
-        sp = tables.mean_speedups(gnn_suite)
-        assert "Random" not in set(sp["partitioner"])
+        assert np.isnan(v) or v > 0

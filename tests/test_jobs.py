@@ -174,6 +174,12 @@ class TestTable5Job:
             "ByteGNN", "KaHIP", "LDG", "Spinner", "Metis"
         ]
 
+    def test_fig16_speedups_exclude_random(self, job):
+        sp = job[0]["fig16_speedups"]
+        assert list(sp.columns) == ["graph", "partitioner", "mean", "min", "max"]
+        assert list(zip(sp["graph"], sp["partitioner"])) == [(g, "Metis") for g in JOB_GRAPHS]
+        assert (sp["min"] <= sp["mean"]).all() and (sp["mean"] <= sp["max"]).all()
+
     def test_each_graph_loaded_once(self, job):
         _, loads, _, _, _ = job
         assert loads == dict.fromkeys(JOB_GRAPHS, 1)

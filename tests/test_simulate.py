@@ -1,4 +1,6 @@
 """Tests for the cost model, DistGNN/DistDGL simulators and amortization."""
+import numpy as np
+import pandas as pd
 import pytest
 
 from repro.graphs.datasets import generate, n_vertices_of, split_vertices
@@ -7,7 +9,7 @@ from repro.gnn.sampling import FANOUTS, plan_batches, sample_epoch
 from repro.partitioning.base import run_partitioner
 from repro.partitioning.edge.hep import hep100
 from repro.partitioning.edge.random_ep import RandomEdgePartitioner
-from repro.exp.tables import epochs_to_amortize
+from repro.exp.tables import amortization_table
 from repro.partitioning.registry import (
     EDGE_PARTITIONERS,
     VERTEX_PARTITIONERS,
@@ -178,13 +180,47 @@ class TestDistDGLPhases:
         assert nb == sampled.epoch_total("remote_inputs") * 32 * 4
 
 
+def amortizing_suite(rows):
+    """Suite rows of graph EU from (partitioner, t_part, T_random, T_p) tuples."""
+    return pd.DataFrame(
+        rows,
+        columns=["partitioner", "partition_seconds_norm", "epoch_seconds_random",
+                 "epoch_seconds"],
+    ).assign(graph="EU")
+
+
 class TestAmortization:
     def test_basic_division(self):
-        assert epochs_to_amortize(10.0, 3.0, 1.0) == pytest.approx(5.0)
+        # t_part / (T_random - T_p) = 10 / (3 - 1) epochs.
+        t = amortization_table(amortizing_suite([("HDRF", 10.0, 3.0, 1.0)]),
+                               partitioners=["HDRF"])
+        assert t.loc["EU", "HDRF"] == pytest.approx(5.0)
 
-    def test_slowdown_returns_none(self):
-        assert epochs_to_amortize(10.0, 1.0, 2.0) is None
-        assert epochs_to_amortize(10.0, 1.0, 1.0) is None
+    def test_majority_of_configs_amortize(self):
+        # 2 of 3 configs amortize (after 5 and 10 epochs): the mean of those 2.
+        suite = amortizing_suite(
+            [("HDRF", 10.0, 3.0, 1.0), ("HDRF", 10.0, 2.0, 1.0), ("HDRF", 10.0, 1.0, 2.0)]
+        )
+        t = amortization_table(suite, partitioners=["HDRF"])
+        assert t.loc["EU", "HDRF"] == pytest.approx(7.5)
+
+    def test_half_of_configs_is_no_majority(self):
+        suite = amortizing_suite([("HDRF", 10.0, 3.0, 1.0), ("HDRF", 10.0, 1.0, 2.0)])
+        t = amortization_table(suite, partitioners=["HDRF"])
+        assert np.isnan(t.loc["EU", "HDRF"])
+
+    def test_slowdown_never_amortizes(self):
+        # A config as fast as Random saves nothing: it never amortizes.
+        suite = amortizing_suite([("HDRF", 10.0, 1.0, 2.0), ("DBH", 10.0, 1.0, 1.0)])
+        t = amortization_table(suite, partitioners=["HDRF", "DBH"])
+        assert t.isna().all().all()
+
+    def test_roster_name_without_rows_is_a_nan_column(self):
+        t = amortization_table(amortizing_suite([("HDRF", 10.0, 3.0, 1.0)]),
+                               partitioners=["DBH", "HDRF"])
+        assert list(t.columns) == ["DBH", "HDRF"]
+        assert list(t.index) == ["EU"]
+        assert np.isnan(t.loc["EU", "DBH"])
 
     def test_penalty_normalization(self):
         # With no edges to read, the model is the measured time over the penalty.

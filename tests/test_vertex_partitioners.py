@@ -234,10 +234,12 @@ class TestMultilevel:
         ev = edges["dst"].to_numpy(np.int64)
         ew = np.ones(len(eu))
         best_fm = min(
-            cut_weight(eu, ev, ew, multilevel_partition(eu, ev, n, 4, seed=s, refiner="fm"))
+            cut_weight(eu, ev, ew, multilevel_partition(eu, ev, n, 4, seed=s, refine=refine_fm))
             for s in (1, 2, 3, 4)
         )
-        one = cut_weight(eu, ev, ew, multilevel_partition(eu, ev, n, 4, seed=1, refiner="oneshot"))
+        one = cut_weight(
+            eu, ev, ew, multilevel_partition(eu, ev, n, 4, seed=1, refine=refine_oneshot)
+        )
         assert best_fm <= one * 1.05
 
     def test_two_cliques_split_perfectly(self):
@@ -275,6 +277,6 @@ class TestKaHIP:
         eu = edges["src"].to_numpy(np.int64)
         ev = edges["dst"].to_numpy(np.int64)
         ew = np.ones(len(eu))
-        restart0 = multilevel_partition(eu, ev, n, 4, seed=0, refiner="fm")
+        restart0 = multilevel_partition(eu, ev, n, 4, seed=0, refine=refine_fm)
         kahip = KaHIPLikePartitioner().assign(edges, 4, n_vertices=n, seed=0)
         assert cut_weight(eu, ev, ew, kahip) <= cut_weight(eu, ev, ew, restart0)
